@@ -29,6 +29,9 @@ PYTHONPATH=src python ci/check_chaos.py
 echo "== bench harness smoke =="
 PYTHONPATH=src python -m pytest -x -q benchmarks/test_perf_smoke.py
 
+echo "== perfbench tests =="
+PYTHONPATH=src python -m pytest -x -q perfbench
+
 echo "== bench regression gate =="
 PYTHONPATH=src python benchmarks/bench_perf.py \
     --scale 0.25 --check BENCH_chase.json

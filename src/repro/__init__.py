@@ -49,48 +49,13 @@ Chase a database and read off certain answers::
 The narrative documentation lives in ``docs/ARCHITECTURE.md`` (the
 engine, package by package, with its invariants) and ``docs/CLI.md``
 (the ``python -m repro`` command reference).
+
+The names below resolve on first access (:mod:`repro._lazy`):
+``import repro`` loads none of the subpackages until one of their names
+is read.
 """
 
-from .chase import (
-    ChaseResult,
-    ChaseSession,
-    ChaseVariant,
-    critical_instance,
-    extend_chase,
-    oblivious_chase,
-    restricted_chase,
-    resume_chase,
-    run_chase,
-    semi_oblivious_chase,
-    standard_critical_instance,
-)
-from .classes import classify, narrowest_class
-from .graphs import is_richly_acyclic, is_weakly_acyclic
-from .model import (
-    Atom,
-    Constant,
-    Database,
-    Instance,
-    Null,
-    Predicate,
-    Schema,
-    TGD,
-    Variable,
-)
-from .parser import (
-    parse_atom,
-    parse_database,
-    parse_program,
-    parse_query,
-    parse_rule,
-    program_to_text,
-    rule_to_text,
-)
-from .cq import ConjunctiveQuery
-from .query import CompiledQuery
-from .runtime import STOP_REASONS, Budget, CancelToken
-from .storage import FactStore, open_instance
-from .termination import TerminationVerdict, decide_termination
+from . import _lazy
 
 __version__ = "1.0.0"
 
@@ -137,3 +102,46 @@ __all__ = [
     "semi_oblivious_chase",
     "standard_critical_instance",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".chase": (
+        "ChaseResult",
+        "ChaseSession",
+        "ChaseVariant",
+        "critical_instance",
+        "extend_chase",
+        "oblivious_chase",
+        "restricted_chase",
+        "resume_chase",
+        "run_chase",
+        "semi_oblivious_chase",
+        "standard_critical_instance",
+    ),
+    ".classes": ("classify", "narrowest_class"),
+    ".graphs": ("is_richly_acyclic", "is_weakly_acyclic"),
+    ".model": (
+        "Atom",
+        "Constant",
+        "Database",
+        "Instance",
+        "Null",
+        "Predicate",
+        "Schema",
+        "TGD",
+        "Variable",
+    ),
+    ".parser": (
+        "parse_atom",
+        "parse_database",
+        "parse_program",
+        "parse_query",
+        "parse_rule",
+        "program_to_text",
+        "rule_to_text",
+    ),
+    ".cq": ("ConjunctiveQuery",),
+    ".query": ("CompiledQuery",),
+    ".runtime": ("STOP_REASONS", "Budget", "CancelToken"),
+    ".storage": ("FactStore", "open_instance"),
+    ".termination": ("TerminationVerdict", "decide_termination"),
+})

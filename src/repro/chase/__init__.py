@@ -1,45 +1,11 @@
 """Chase engines: oblivious, semi-oblivious, and restricted, plus
-critical instances and trigger machinery."""
+critical instances and trigger machinery.
 
-from .critical import (
-    CRITICAL_CONSTANT,
-    ONE_CONSTANT,
-    ONE_PREDICATE,
-    ZERO_CONSTANT,
-    ZERO_PREDICATE,
-    critical_domain,
-    critical_instance,
-    standard_critical_instance,
-)
-from .checkpoint import Checkpointer, load_state
-from .delta import DeltaEngine, delta_triggers
-from .incremental import ChaseSession, extend_chase
-from .engine import (
-    DEFAULT_MAX_STEPS,
-    oblivious_chase,
-    resource_stats,
-    restricted_chase,
-    resume_chase,
-    run_chase,
-    semi_oblivious_chase,
-)
-from .result import ChaseResult, ChaseStep
-from .scheduler import (
-    SCHEDULER_KINDS,
-    RoundScheduler,
-    discovery_batches,
-    evaluate_batch,
-    resolve_scheduler,
-    scheduled_delta_triggers,
-)
-from .triggers import (
-    ChaseVariant,
-    Trigger,
-    all_triggers,
-    apply_trigger,
-    head_satisfied,
-    triggers_for_rule,
-)
+The public names below resolve on first access (:mod:`repro._lazy`):
+``import repro.chase`` alone loads no engine, and the durable
+checkpoint and incremental-session layers load only when used."""
+
+from .. import _lazy
 
 __all__ = [
     "CRITICAL_CONSTANT",
@@ -78,3 +44,45 @@ __all__ = [
     "standard_critical_instance",
     "triggers_for_rule",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".critical": (
+        "CRITICAL_CONSTANT",
+        "ONE_CONSTANT",
+        "ONE_PREDICATE",
+        "ZERO_CONSTANT",
+        "ZERO_PREDICATE",
+        "critical_domain",
+        "critical_instance",
+        "standard_critical_instance",
+    ),
+    ".checkpoint": ("Checkpointer", "load_state"),
+    ".delta": ("DeltaEngine", "delta_triggers"),
+    ".incremental": ("ChaseSession", "extend_chase"),
+    ".engine": (
+        "DEFAULT_MAX_STEPS",
+        "oblivious_chase",
+        "resource_stats",
+        "restricted_chase",
+        "resume_chase",
+        "run_chase",
+        "semi_oblivious_chase",
+    ),
+    ".result": ("ChaseResult", "ChaseStep"),
+    ".scheduler": (
+        "SCHEDULER_KINDS",
+        "RoundScheduler",
+        "discovery_batches",
+        "evaluate_batch",
+        "resolve_scheduler",
+        "scheduled_delta_triggers",
+    ),
+    ".triggers": (
+        "ChaseVariant",
+        "Trigger",
+        "all_triggers",
+        "apply_trigger",
+        "head_satisfied",
+        "triggers_for_rule",
+    ),
+})

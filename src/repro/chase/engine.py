@@ -21,7 +21,7 @@ termination *deciders* live in :mod:`repro.termination`, not here.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import BudgetExceededError
 from ..model import (
@@ -35,7 +35,6 @@ from ..runtime.budget import (
     STOP_STEP_BUDGET,
     Budget,
 )
-from .checkpoint import Checkpointer, load_state
 from .delta import DeltaEngine, delta_triggers
 from .result import ChaseResult, ChaseStep
 from .scheduler import RoundScheduler, SchedulerSpec, resolve_scheduler
@@ -45,6 +44,9 @@ from .triggers import (
     apply_trigger_ids,
     head_satisfied,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .checkpoint import Checkpointer
 
 DEFAULT_MAX_STEPS = 10_000
 
@@ -343,6 +345,10 @@ def run_chase(
     ckpt = None
     try:
         if save is not None:
+            # Checkpoints (and the durable store under them) load only
+            # for runs that save.
+            from .checkpoint import Checkpointer
+
             engine.track_fired()
             ckpt = Checkpointer.create(
                 save, instance, rules, variant, planner, max_steps,
@@ -394,6 +400,7 @@ def resume_chase(
     terminated returns the finished result immediately.
     """
     from ..storage.durable import open_store
+    from .checkpoint import Checkpointer, load_state
 
     store = open_store(path)
     state = load_state(path, store)

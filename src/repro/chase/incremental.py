@@ -48,12 +48,11 @@ on exactly this.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from ..model import Atom, Instance, NullFactory, TGD, validate_program
 from ..model.instances import SnapshotInstance
 from ..runtime.budget import STOP_FIXPOINT, Budget
-from .checkpoint import Checkpointer, load_state
 from .delta import DeltaEngine, ingest_facts
 from .engine import DEFAULT_MAX_STEPS, _drive
 from .result import ChaseResult, ChaseStep
@@ -181,6 +180,8 @@ class ChaseSession:
             )
             session._ckpt = None
             if save is not None:
+                from .checkpoint import Checkpointer
+
                 session._engine.track_fired()
                 session._ckpt = Checkpointer.create(
                     save, instance, rules, variant, planner, max_steps,
@@ -217,6 +218,7 @@ class ChaseSession:
         stop (under ``budget``), exactly like ``resume_chase``.
         """
         from ..storage.durable import open_store
+        from .checkpoint import Checkpointer, load_state
 
         store = open_store(path)
         state = load_state(path, store)

@@ -86,7 +86,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import sys
+import threading
 from typing import Optional, Sequence
 
 from .chase import (
@@ -98,7 +100,6 @@ from .chase import (
     standard_critical_instance,
 )
 from .classes import classify, narrowest_class
-from .entailment import entails_atom
 from .errors import BudgetExceededError, ReproError
 from .parser import (
     atom_to_text,
@@ -110,6 +111,14 @@ from .parser import (
 )
 from .runtime import Budget
 from .termination import decide_termination
+
+# Start-up: this module imports what the default check, query and
+# chase paths run; opt-in flags and other subcommands import their
+# layers where they use them (tests/test_import_budget.py).  These two
+# are otherwise first imported inside parse_query() and Instance(),
+# which would bill the import to the first command.
+from .cq import ConjunctiveQuery  # noqa: F401
+from .storage import MemoryFactStore  # noqa: F401
 
 #: Exit code per stop reason (2 stays the usage/input-error code; 3 is
 #: the fallback for budget stops without a structured reason, e.g. the
@@ -178,9 +187,6 @@ def _sigint_cancels(budget: Budget):
     """Route SIGINT to the budget's cancel token for the duration:
     the governed run stops at its next budget check and reports
     ``cancelled`` instead of unwinding mid-round."""
-    import signal
-    import threading
-
     if threading.current_thread() is not threading.main_thread():
         yield
         return
@@ -463,6 +469,8 @@ def _cmd_critical(args) -> int:
 
 
 def _cmd_entail(args) -> int:
+    from .entailment import entails_atom
+
     rules = _load_rules(args.rules)
     database = _load_database(args.database)
     atom = parse_atom(args.atom)

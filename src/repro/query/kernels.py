@@ -12,8 +12,9 @@ column arrays at a time with a sort-based vectorized hash join
 *optional* dependency: every kernel has a pure-Python batch fallback
 (dict-based hash joins over the same column layout), selected
 automatically when NumPy is missing or the ``REPRO_NO_NUMPY``
-environment variable is set, and proven answer-identical by the
-property suite.
+environment variable is ``1``/``true``/``yes``/``on``, and proven
+answer-identical by the property suite.  NumPy is imported when the
+first batch kernel runs, not when this module is.
 
 Two kernels live here:
 
@@ -60,6 +61,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..errors import ReproError
 from ..model.atoms import Atom
 from ..model.instances import Instance
 from ..model.joinplan import _RESOLVE_CACHE_CAP, PlanExec, ResolvedStep
@@ -77,19 +79,46 @@ AUTO_VECTOR_MIN_ROWS = 2048
 #: this many bits (int64 is 63 usable bits; 62 leaves slack).
 _CODE_BITS = 62
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:  # pragma: no branch
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - exercised via env gate
-        _np = None
+_UNLOADED = object()
+#: The NumPy module the batch kernels use, ``None`` for the pure-Python
+#: fallback, or :data:`_UNLOADED` until the first batch kernel runs —
+#: importing this module does not import NumPy.
+_np = _UNLOADED
+
+#: ``REPRO_NO_NUMPY`` values (case ignored) that disable / keep NumPy.
+_NO_NUMPY_TRUE = ("1", "true", "yes", "on")
+_NO_NUMPY_FALSE = ("", "0", "false", "no", "off")
+
+
+def _numpy():
+    """Resolve :data:`_np` on first use: ``None`` when NumPy is missing
+    or ``REPRO_NO_NUMPY`` disables it.  A value outside the two
+    vocabularies raises :class:`~repro.errors.ReproError` and leaves
+    :data:`_np` unresolved."""
+    global _np
+    if _np is _UNLOADED:
+        raw = os.environ.get("REPRO_NO_NUMPY", "")
+        if raw.lower() in _NO_NUMPY_TRUE:
+            _np = None
+        elif raw.lower() in _NO_NUMPY_FALSE:
+            try:
+                import numpy
+            except ImportError:  # pragma: no cover - no-NumPy CI leg
+                numpy = None
+            _np = numpy
+        else:
+            raise ReproError(
+                f"REPRO_NO_NUMPY={raw!r}: use 1, true, yes or on to "
+                f"disable NumPy, or 0, false, no, off or empty to keep it"
+            )
+    return _np
 
 
 def numpy_active() -> bool:
     """True iff the vectorized (NumPy) paths are in use; False means
-    every kernel runs its pure-Python batch fallback."""
-    return _np is not None
+    every kernel runs its pure-Python batch fallback.  The first call
+    (or the first batch kernel) imports NumPy."""
+    return _numpy() is not None
 
 
 # -- join-graph shape -------------------------------------------------------
@@ -468,7 +497,7 @@ class _BatchPy:
 def _fresh_batch(seed_cols: Optional[Dict[int, Sequence[int]]] = None,
                  m: int = 1):
     """An empty (or seeded) batch on whichever engine is active."""
-    if _np is not None:
+    if _numpy() is not None:
         cols = {}
         if seed_cols:
             for slot, values in seed_cols.items():
@@ -595,7 +624,7 @@ def batch_rule_matches(
     # of the pivot's relation, in arrival order).
     const_checks = pivot_step.const_checks
     groups = pivot_step.groups
-    if _np is not None:
+    if _numpy() is not None:
         from itertools import chain
 
         arity = len(pivot_step.build)
@@ -775,7 +804,7 @@ def _run_wcoj_impl(
 ):
     steps = exec_.steps
     order = _wcoj_variable_order(steps)
-    trie_cls = _TrieNp if _np is not None else _TriePy
+    trie_cls = _TrieNp if _numpy() is not None else _TriePy
     tries = [trie_cls(instance, step, order) for step in steps]
     for trie in tries:
         if trie.size == 0:

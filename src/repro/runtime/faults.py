@@ -41,7 +41,6 @@ All hooks are inert — a handful of dict lookups — when
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Dict, Optional, Tuple
 
@@ -91,6 +90,9 @@ def _plan() -> Dict:
 
 
 def _in_worker() -> bool:
+    # Only the crash directive asks, so only it loads multiprocessing.
+    import multiprocessing
+
     return multiprocessing.current_process().name != "MainProcess"
 
 

@@ -7,20 +7,12 @@ in-memory backend (the byte-identical default) and a durable one
 (append-only ``array('q')`` segment files, lazy mmap-backed reopen,
 round-boundary chase checkpoints).  See ``storage/base.py`` and
 ``storage/durable.py``.
+
+The public names resolve on first access (:mod:`repro._lazy`), so the
+in-memory path never loads the durable backend or the ingest journal.
 """
 
-from .base import FactStore, MemoryFactStore, Row
-from .durable import (
-    CHASE_STATE,
-    DurableFactStore,
-    StoreFormatError,
-    StoreWriter,
-    open_instance,
-    open_store,
-    read_manifest,
-    save_store,
-)
-from .journal import JOURNAL_FILE, IngestJournal
+from .. import _lazy
 
 __all__ = [
     "CHASE_STATE",
@@ -37,3 +29,18 @@ __all__ = [
     "read_manifest",
     "save_store",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".base": ("FactStore", "MemoryFactStore", "Row"),
+    ".durable": (
+        "CHASE_STATE",
+        "DurableFactStore",
+        "StoreFormatError",
+        "StoreWriter",
+        "open_instance",
+        "open_store",
+        "read_manifest",
+        "save_store",
+    ),
+    ".journal": ("JOURNAL_FILE", "IngestJournal"),
+})

@@ -1,50 +1,11 @@
-"""The paper's termination deciders and their machinery."""
+"""The paper's termination deciders and their machinery.
 
-from .abstraction import (
-    FRESH,
-    AtomPattern,
-    BagType,
-    PatternCloud,
-    naive_pattern_homomorphisms,
-    pattern_homomorphisms,
-)
-from .decider import decide_termination
-from .guarded import decide_guarded
-from .instance_level import decide_termination_on
-from .mfa import (
-    DEFAULT_MFA_STEPS,
-    SkolemTerm,
-    is_mfa,
-    mfa_witness,
-    skolem_chase,
-)
-from .linear import (
-    decide_linear,
-    is_critically_richly_acyclic,
-    is_critically_weakly_acyclic,
-)
-from .oracle import (
-    DEFAULT_ORACLE_STEPS,
-    critical_chase_terminates,
-    oracle_verdict,
-)
-from .pumping import (
-    PumpingWitness,
-    alive_edge_fixpoint,
-    find_pumping_witness,
-    renewable_classes,
-    verify_cyclic_walk,
-)
-from .replay import ReplayResult, confirm_witness
-from .report import TerminationReport, termination_report
-from .restricted_sh import (
-    decide_restricted_single_head,
-    restricted_rule_graph,
-)
-from .saturation import DEFAULT_MAX_TYPES, ChildEdge, TypeAnalysis
-from .sl import decide_simple_linear
-from .transitions import TransitionGraph
-from .verdict import TerminationVerdict
+The public names resolve on first access (:mod:`repro._lazy`), so
+``import repro.termination`` loads only the procedures a caller uses:
+the MFA, replay and report layers stay unloaded until needed.
+"""
+
+from .. import _lazy
 
 __all__ = [
     "AtomPattern",
@@ -85,3 +46,51 @@ __all__ = [
     "termination_report",
     "verify_cyclic_walk",
 ]
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, {
+    ".abstraction": (
+        "FRESH",
+        "AtomPattern",
+        "BagType",
+        "PatternCloud",
+        "naive_pattern_homomorphisms",
+        "pattern_homomorphisms",
+    ),
+    ".decider": ("decide_termination",),
+    ".guarded": ("decide_guarded",),
+    ".instance_level": ("decide_termination_on",),
+    ".mfa": (
+        "DEFAULT_MFA_STEPS",
+        "SkolemTerm",
+        "is_mfa",
+        "mfa_witness",
+        "skolem_chase",
+    ),
+    ".linear": (
+        "decide_linear",
+        "is_critically_richly_acyclic",
+        "is_critically_weakly_acyclic",
+    ),
+    ".oracle": (
+        "DEFAULT_ORACLE_STEPS",
+        "critical_chase_terminates",
+        "oracle_verdict",
+    ),
+    ".pumping": (
+        "PumpingWitness",
+        "alive_edge_fixpoint",
+        "find_pumping_witness",
+        "renewable_classes",
+        "verify_cyclic_walk",
+    ),
+    ".replay": ("ReplayResult", "confirm_witness"),
+    ".report": ("TerminationReport", "termination_report"),
+    ".restricted_sh": (
+        "decide_restricted_single_head",
+        "restricted_rule_graph",
+    ),
+    ".saturation": ("DEFAULT_MAX_TYPES", "ChildEdge", "TypeAnalysis"),
+    ".sl": ("decide_simple_linear",),
+    ".transitions": ("TransitionGraph",),
+    ".verdict": ("TerminationVerdict",),
+})

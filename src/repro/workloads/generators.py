@@ -13,6 +13,14 @@ from typing import List, Sequence
 from ..model import Atom, Constant, Predicate, TGD, Term, Variable
 
 
+def _rng(*key) -> random.Random:
+    """A generator seeded by the arguments ``key``.  ``random`` turns a
+    string seed into an int through SHA-512, so the stream is the same
+    in every process; ``hash()`` of a tuple holding strings is salted
+    per process (``PYTHONHASHSEED``) and would not replay a failure."""
+    return random.Random(repr(key))
+
+
 def _predicates(
     rng: random.Random, count: int, max_arity: int, min_arity: int = 1
 ) -> List[Predicate]:
@@ -43,8 +51,8 @@ def random_simple_linear(
     positions — the regime where the Theorem 1 characterizations stop
     applying and the critical deciders must take over.
     """
-    rng = random.Random(("sl", num_rules, num_predicates, max_arity,
-                         exist_prob, seed, constant_prob).__hash__())
+    rng = _rng("sl", num_rules, num_predicates, max_arity, exist_prob, seed,
+               constant_prob)
     predicates = _predicates(rng, num_predicates, max_arity)
     rules: List[TGD] = []
     for index in range(num_rules):
@@ -84,8 +92,8 @@ def random_linear(
 ) -> List[TGD]:
     """Random linear set; body variables may repeat (the Theorem 2
     regime where plain WA/RA become incomplete)."""
-    rng = random.Random(("l", num_rules, num_predicates, max_arity,
-                         exist_prob, repeat_prob, seed).__hash__())
+    rng = _rng("l", num_rules, num_predicates, max_arity, exist_prob,
+               repeat_prob, seed)
     predicates = _predicates(rng, num_predicates, max_arity)
     rules: List[TGD] = []
     for index in range(num_rules):
@@ -123,8 +131,8 @@ def random_guarded(
 ) -> List[TGD]:
     """Random guarded set: a guard atom over all body variables plus up
     to ``side_atoms`` additional body atoms over subsets of them."""
-    rng = random.Random(("g", num_rules, num_predicates, max_arity,
-                         side_atoms, exist_prob, seed).__hash__())
+    rng = _rng("g", num_rules, num_predicates, max_arity, side_atoms,
+               exist_prob, seed)
     predicates = _predicates(rng, num_predicates, max_arity)
     rules: List[TGD] = []
     for index in range(num_rules):
@@ -165,8 +173,7 @@ def random_database(
     """A random database over the schema of ``rules``."""
     from ..model import Constant, Database, Schema
 
-    rng = random.Random(("db", num_constants, facts_per_predicate, seed
-                         ).__hash__())
+    rng = _rng("db", num_constants, facts_per_predicate, seed)
     constants = [Constant(f"c{i + 1}") for i in range(num_constants)]
     database = Database()
     for pred in Schema.from_rules(rules):

@@ -25,7 +25,9 @@ import random
 import pytest
 
 from repro.chase import ChaseVariant, critical_instance, run_chase
+from repro.cli import main as cli_main
 from repro.cq import ConjunctiveQuery
+from repro.errors import ReproError
 from repro.model import (
     Atom,
     Constant,
@@ -234,6 +236,44 @@ class TestPurePythonFallback:
         forced = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
                            max_steps=400, kernel="vector")
         assert forced.instance.facts() == baseline.instance.facts()
+
+
+class TestNoNumpyFlag:
+    """``REPRO_NO_NUMPY`` is read when the first batch kernel runs."""
+
+    @staticmethod
+    def _unresolved(monkeypatch, value):
+        monkeypatch.setattr(kernels_module, "_np", kernels_module._UNLOADED)
+        monkeypatch.setenv("REPRO_NO_NUMPY", value)
+
+    @pytest.mark.parametrize("value", ["1", "true", "Yes", "on"])
+    def test_true_values_disable_numpy(self, monkeypatch, value):
+        self._unresolved(monkeypatch, value)
+        assert not numpy_active()
+
+    @pytest.mark.parametrize("value", ["0", "false", "no", "OFF", ""])
+    def test_false_values_keep_numpy(self, monkeypatch, value):
+        pytest.importorskip("numpy")
+        self._unresolved(monkeypatch, value)
+        assert numpy_active()
+
+    def test_other_values_raise(self, monkeypatch):
+        self._unresolved(monkeypatch, "maybe")
+        with pytest.raises(ReproError, match="REPRO_NO_NUMPY='maybe'"):
+            numpy_active()
+        assert kernels_module._np is kernels_module._UNLOADED
+
+    def test_cli_reports_a_bad_value(self, monkeypatch, tmp_path, capsys):
+        rules = tmp_path / "rules.tgd"
+        rules.write_text("e(X, Y) -> f(Y, X)\n")
+        db = tmp_path / "db.facts"
+        db.write_text("e(a, b)\ne(b, c)\n")
+        self._unresolved(monkeypatch, "maybe")
+        code = cli_main(["query", str(rules), str(db),
+                         "q(X) :- e(X, Y), f(Y, X)", "--kernel", "vector"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_NO_NUMPY='maybe'")
 
 
 def _chase_workload():

@@ -1,5 +1,9 @@
 """Tests for workload generators and parametric families."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.classes import (
@@ -48,6 +52,28 @@ class TestGenerators:
         )
         assert random_linear(5, seed=3) == random_linear(5, seed=3)
         assert random_guarded(5, seed=3) == random_guarded(5, seed=3)
+
+    def test_same_output_under_any_hash_seed(self):
+        # String hashing is salted per process, so a generator seeded
+        # from hash() would sample different rules in every run.
+        script = (
+            "from repro.workloads import random_database, random_guarded, "
+            "random_linear, random_simple_linear\n"
+            "for rules in (random_simple_linear(6, seed=0, constant_prob=0.3),"
+            " random_linear(8, 5, 3, seed=0), random_guarded(5, seed=0)):\n"
+            "    print([str(r) for r in rules])\n"
+            "    print([str(a) for a in random_database(rules, seed=0)])\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outputs = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.path.abspath(src))
+            outputs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outputs) == 1
 
     def test_seeds_vary_output(self):
         outputs = {
