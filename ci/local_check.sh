@@ -14,6 +14,10 @@ PYTHONPATH=src python -m pytest -x -q tests
 echo "== tier-1 tests without NumPy (pure-Python kernels) =="
 REPRO_NO_NUMPY=1 PYTHONPATH=src python -m pytest -x -q tests
 
+echo "== paper-experiment suite (E1-E11) =="
+PYTHONPATH=src python -m pytest -x -q benchmarks \
+    --ignore=benchmarks/test_perf_smoke.py
+
 echo "== fault-injection suite =="
 PYTHONPATH=src python -m pytest -x -q tests/test_runtime_faults.py
 

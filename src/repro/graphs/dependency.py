@@ -89,12 +89,15 @@ def extended_dependency_graph(rules: Iterable[TGD]) -> Digraph:
 
 def _build(rules: Iterable[TGD], extended: bool) -> Digraph:
     graph: Digraph = Digraph()
+    # Nodes and edges are added in rule order, never in frozenset
+    # order: the dangerous-cycle search returns the first cycle it
+    # meets, so a hash-ordered build would vary the witness per process.
     for rule in rules:
-        for pred in rule.predicates():
-            for pos in pred.positions():
+        for atom in rule.body + rule.head:
+            for pos in atom.predicate.positions():
                 graph.add_node(pos)
         existential_positions: List[Position] = []
-        for var in rule.existential_variables:
+        for var in rule.existentials_sorted:
             existential_positions.extend(rule.head_positions_of(var))
         for var in sorted(rule.body_variables):
             body_positions = rule.body_positions_of(var)

@@ -260,24 +260,6 @@ class PatternCloud:
         return len(self.patterns)
 
 
-_CLOUD_CACHE: Dict[FrozenSet[AtomPattern], PatternCloud] = {}
-_CLOUD_CACHE_CAP = 64
-"""Saturation asks for the same cloud once per rule per fixpoint
-iteration; the cache turns those repeats into one index build.  Capped
-because clouds can be large and mostly do not repeat across types."""
-
-
-def cloud_index(cloud: FrozenSet[AtomPattern]) -> PatternCloud:
-    """The (cached) class-indexed form of ``cloud``."""
-    index = _CLOUD_CACHE.get(cloud)
-    if index is None:
-        if len(_CLOUD_CACHE) >= _CLOUD_CACHE_CAP:
-            _CLOUD_CACHE.clear()
-        index = PatternCloud(cloud)
-        _CLOUD_CACHE[cloud] = index
-    return index
-
-
 _BODY_CACHE: Dict[Tuple, Optional[Tuple[Atom, ...]]] = {}
 _BODY_CACHE_CAP = 1024
 """Saturation joins the same (rule body, constant-class map) pair once
@@ -337,7 +319,7 @@ def pattern_homomorphisms(
     whole join runs in id space: class ints are decoded through the
     cloud's memo, never by materializing per-match Term objects.
     """
-    index = cloud if isinstance(cloud, PatternCloud) else cloud_index(cloud)
+    index = cloud if isinstance(cloud, PatternCloud) else PatternCloud(cloud)
     pattern_body = _pattern_body(body, constant_class)
     if pattern_body is None:
         return

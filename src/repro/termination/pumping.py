@@ -279,10 +279,14 @@ def find_pumping_witness(
     """
     num_constants = graph.analysis.num_constants
     fallback: Optional[PumpingWitness] = None
+    # Graph order, not set order: the witness search below tries
+    # candidates in edge order, so a hash-ordered walk of a component
+    # would print a different witness per process.
+    position = {node: i for i, node in enumerate(graph.nodes)}
     for component in graph.strongly_connected_components():
         internal = [
             edge
-            for node in component
+            for node in sorted(component, key=position.__getitem__)
             for edge in graph.out_edges(node)
             if edge.target in component
         ]

@@ -11,6 +11,27 @@ full cloud of derivable patterns, accounting for
   over terms the child inherited, which are therefore atoms over the
   parent's terms too.
 
+The fixpoint runs as a worklist that repeats no work — semi-naive
+evaluation in the sense of Bancilhon & Ramakrishnan ("An Amateur's
+Introduction to Recursive Query Processing Strategies", SIGMOD 1986):
+
+1. a type gets a pass only when it is new or the cloud of a type it
+   has built as a child grew since its last pass;
+2. within a pass, a rule is joined again only when the cloud's atoms
+   of one of its body predicates changed — clouds only grow, so equal
+   per-predicate atom counts mean equal atoms and the same join, in
+   the same order;
+3. each (type, rule, assignment) child is built once per state of the
+   parent's cloud, and its atoms are lifted into the parent again only
+   when the child's cloud grew;
+4. :meth:`TypeAnalysis.child_edges` reads the joins and children of a
+   type's last pass instead of computing them again.
+
+Every skipped step is one whose result is already in place, so the
+sequence of cloud changes and type registrations is exactly that of a
+round-robin sweep over every type until nothing changes: the same
+table and the same transition graph, with fewer joins.
+
 The paper obtains the 2EXPTIME upper bound with an alternating
 algorithm over this exact (doubly exponential) type space; alternation
 over a finite space is equivalent to the memoized least fixpoint
@@ -20,6 +41,7 @@ computed here (see DESIGN.md, substitution ledger).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..chase.critical import (
@@ -44,8 +66,8 @@ from .abstraction import (
     FRESH,
     AtomPattern,
     BagType,
+    PatternCloud,
     atom_to_pattern,
-    cloud_index,
     naive_pattern_homomorphisms,
     pattern_homomorphisms,
 )
@@ -116,6 +138,26 @@ class ChildEdge:
         return f"ChildEdge({label}: {self.source!r} -> {self.target!r})"
 
 
+class _TypeMemo:
+    """What the worklist keeps about one type between its passes.
+
+    ``join_keys[r]`` holds the per-body-predicate atom counts of the
+    cloud that rule ``r`` was last joined against, and ``joins[r]``
+    that join's assignments.  ``children`` maps ``(r, body image)`` to
+    ``[parent cloud size at build, edge, child cloud size at the last
+    lift]``.
+    """
+
+    __slots__ = ("join_keys", "joins", "children")
+
+    def __init__(self, num_rules: int):
+        self.join_keys: List[Optional[Tuple]] = [None] * num_rules
+        self.joins: List[List[Dict[Variable, int]]] = [
+            [] for _ in range(num_rules)
+        ]
+        self.children: Dict[Tuple, list] = {}
+
+
 class TypeAnalysis:
     """Saturated type space of a guarded program over its critical
     instance (plain or *standard*, per Theorem 4)."""
@@ -146,9 +188,9 @@ class TypeAnalysis:
         retained PR 1 ordering — assignment sets are identical).
 
         ``scheduler`` / ``workers`` batch the body-vs-cloud joins of
-        each saturation pass across rules
-        (:mod:`repro.chase.scheduler`): the joins of one pass all read
-        the same immutable cloud snapshot, so they are executor-
+        each saturation iteration across rules
+        (:mod:`repro.chase.scheduler`): the joins of one iteration all
+        read the same immutable cloud snapshot, so they are executor-
         independent, and their results are applied serially in rule
         order — the saturated table, discovered types, and edge order
         are identical under every executor.  Call :meth:`close` (or
@@ -192,6 +234,11 @@ class TypeAnalysis:
         # cancellation on top of ``max_types``); checked once per
         # fixpoint pass over a bag type.
         self.budget = budget
+        # A rule's join reads only the atoms of its body predicates.
+        self._body_predicates: List[Tuple] = [
+            tuple(dict.fromkeys(atom.predicate for atom in rule.body))
+            for rule in rules
+        ]
         constants: Set[Constant] = set(program_constants(rules))
         schema = Schema.from_rules(rules)
         if database is not None:
@@ -213,6 +260,11 @@ class TypeAnalysis:
         self.root = self._root_type()
         # Saturated cloud per creation type; grows monotonically.
         self.table: Dict[BagType, FrozenSet[AtomPattern]] = {}
+        # The worklist: per-type memos, the types each type was built
+        # as a child of, and the types due a pass.
+        self._memo: Dict[BagType, _TypeMemo] = {}
+        self._parents: Dict[BagType, Set[BagType]] = {}
+        self._dirty: Set[BagType] = set()
         self._saturated = False
         # The scheduler (and its worker pool) is resolved *last*: every
         # validation above may raise, and a pool spawned before a raise
@@ -251,6 +303,13 @@ class TypeAnalysis:
     def saturate(self) -> None:
         """Run the global least fixpoint; idempotent.
 
+        One saturation round is one worklist generation: a sweep, in
+        registration order, over the types registered before it began,
+        giving a pass to each type that is new or whose children's
+        clouds grew.  The attached ``budget`` is checked before every
+        type pass and charged one round per generation, so its
+        ``max_rounds`` counts generations.
+
         Raises :class:`~repro.errors.BudgetExceededError` when the type
         space outgrows ``max_types`` or the attached ``budget`` trips
         (deadline, memory, cancellation); the table is left in a
@@ -261,21 +320,25 @@ class TypeAnalysis:
         budget = self.budget
         if budget is not None:
             budget.start()
-        self.table[self.root] = self.root.cloud
-        changed = True
-        while changed:
-            changed = False
+        if self.root not in self.table:
+            self.table[self.root] = self.root.cloud
+            self._dirty.add(self.root)
+        while self._dirty:
             for bag_type in list(self.table):
+                if bag_type not in self._dirty:
+                    continue
                 if budget is not None:
                     budget.raise_if_exceeded(facts=len(self.table))
-                types_before = len(self.table)
-                new_cloud = self._saturate_one(bag_type)
-                if new_cloud != self.table[bag_type]:
+                try:
+                    new_cloud = self._saturate_one(bag_type)
+                except BaseException:
+                    # The memo ran ahead of the table; start over.
+                    self._memo.pop(bag_type, None)
+                    raise
+                self._dirty.discard(bag_type)
+                if len(new_cloud) != len(self.table[bag_type]):
                     self.table[bag_type] = new_cloud
-                    changed = True
-                if len(self.table) != types_before:
-                    # Newly discovered child types need their own pass.
-                    changed = True
+                    self._dirty.update(self._parents.get(bag_type, ()))
             if budget is not None:
                 budget.note_round()
         self._saturated = True
@@ -291,13 +354,14 @@ class TypeAnalysis:
                     stats={"types": len(self.table)},
                 )
             self.table[bag_type] = bag_type.cloud
+            self._dirty.add(bag_type)
 
     def _snapshot(self, cloud: FrozenSet[AtomPattern]):
         """The pattern-join input for the configured engine: the
-        class-indexed form (built once, cached) for ``indexed``, the
-        raw frozenset for ``naive``."""
+        class-indexed form for ``indexed``, the raw frozenset for
+        ``naive``."""
         if self.pattern_engine == "indexed":
-            return cloud_index(cloud)
+            return PatternCloud(cloud)
         return cloud
 
     def _joined_assignments(
@@ -345,34 +409,80 @@ class TypeAnalysis:
     def _saturate_one(self, bag_type: BagType) -> FrozenSet[AtomPattern]:
         """One saturation pass for a single type, against the current
         global table.  Registers newly discovered child types."""
+        memo = self._memo.get(bag_type)
+        if memo is None:
+            memo = self._memo[bag_type] = _TypeMemo(len(self.rules))
         cloud: Set[AtomPattern] = set(self.table[bag_type])
-        indexed_rules = list(enumerate(self.rules))
         while True:
             before = len(cloud)
-            # One snapshot per fixpoint iteration: every rule joins
-            # against the iteration-start cloud (additions made while a
-            # rule's assignments are enumerated become visible next
-            # iteration, never mid-enumeration).  The joins read only
-            # that snapshot, so the scheduler may batch them across
-            # rules; the mutating apply pass below stays serial in
-            # rule-major assignment order — exactly the serial engine's
-            # sequence.
-            assignment_lists = self._joined_assignments(
-                indexed_rules, frozenset(cloud)
-            )
-            for (rule_index, rule), assignments in zip(
-                indexed_rules, assignment_lists
-            ):
-                for assignment in assignments:
-                    self._apply_local(rule, assignment, cloud)
-                    if rule.existential_variables:
-                        edge = self._make_child(
-                            bag_type, cloud, rule, rule_index, assignment
+            # Rules join against the iteration-start cloud (additions
+            # made while assignments are applied become visible next
+            # iteration, never mid-enumeration) — and only the rules
+            # whose body predicates gained atoms since their last join.
+            # The joins read only that snapshot, so the scheduler may
+            # batch them; the apply pass below stays serial in
+            # rule-major assignment order.
+            counts = Counter(pred for pred, _ in cloud)
+            stale: List[Tuple[int, TGD]] = []
+            for rule_index, rule in enumerate(self.rules):
+                key = tuple(
+                    counts[p] for p in self._body_predicates[rule_index]
+                )
+                if key != memo.join_keys[rule_index]:
+                    memo.join_keys[rule_index] = key
+                    stale.append((rule_index, rule))
+            if stale:
+                assignment_lists = self._joined_assignments(
+                    stale, frozenset(cloud)
+                )
+                for (rule_index, _), assignments in zip(
+                    stale, assignment_lists
+                ):
+                    memo.joins[rule_index] = assignments
+            rejoined = {rule_index for rule_index, _ in stale}
+            for rule_index, rule in enumerate(self.rules):
+                # An assignment joined before was applied before.
+                fresh = rule_index in rejoined
+                creates = bool(rule.existential_variables)
+                if not (fresh or creates):
+                    continue
+                for assignment in memo.joins[rule_index]:
+                    if fresh:
+                        self._apply_local(rule, assignment, cloud)
+                    if creates:
+                        self._child(
+                            bag_type, memo, cloud, rule_index, rule,
+                            assignment,
                         )
-                        self._register(edge.target)
-                        self._lift_child_atoms(edge, cloud)
             if len(cloud) == before:
                 return frozenset(cloud)
+
+    def _child(
+        self,
+        bag_type: BagType,
+        memo: _TypeMemo,
+        cloud: Set[AtomPattern],
+        rule_index: int,
+        rule: TGD,
+        assignment: Dict[Variable, int],
+    ) -> None:
+        """Build the child ``rule`` creates under ``assignment`` unless
+        it was built at this size of the (only growing) cloud, register
+        it, and lift its atoms unless its cloud is as last lifted."""
+        key = _child_key(rule_index, rule, assignment)
+        entry = memo.children.get(key)
+        if entry is None or entry[0] != len(cloud):
+            edge = self._make_child(
+                bag_type, cloud, rule, rule_index, assignment
+            )
+            self._register(edge.target)
+            self._parents.setdefault(edge.target, set()).add(bag_type)
+            entry = memo.children[key] = [len(cloud), edge, None]
+        edge = entry[1]
+        lifted = len(self.table[edge.target])
+        if entry[2] != lifted:
+            entry[2] = lifted
+            self._lift_child_atoms(edge, cloud)
 
     def _apply_local(
         self,
@@ -441,7 +551,7 @@ class TypeAnalysis:
         """Up-propagation: atoms of the child's saturated cloud lying
         entirely over inherited (or constant) classes are atoms over
         the parent's terms."""
-        child_cloud = self.table.get(edge.target, edge.target.cloud)
+        child_cloud = self.table[edge.target]
         g = self.num_constants
         back = {
             child_cls: parent_cls
@@ -471,27 +581,20 @@ class TypeAnalysis:
         return self.table[bag_type]
 
     def child_edges(self, bag_type: BagType) -> List[ChildEdge]:
-        """All deduplicated bag-creating transitions out of a type,
-        computed against its *saturated* cloud."""
+        """All deduplicated bag-creating transitions out of a type, in
+        join order: the children its last pass built against its
+        saturated cloud."""
         self.saturate()
-        cloud = self.table[bag_type]
-        creating = [
-            (rule_index, rule)
-            for rule_index, rule in enumerate(self.rules)
-            if rule.existential_variables
-        ]
-        if not creating:
-            return []
-        assignment_lists = self._joined_assignments(creating, cloud)
+        memo = self._memo[bag_type]
         seen: Set[Tuple] = set()
         edges: List[ChildEdge] = []
-        for (rule_index, rule), assignments in zip(
-            creating, assignment_lists
-        ):
-            for assignment in assignments:
-                edge = self._make_child(
-                    bag_type, cloud, rule, rule_index, assignment
-                )
+        for rule_index, rule in enumerate(self.rules):
+            if not rule.existential_variables:
+                continue
+            for assignment in memo.joins[rule_index]:
+                edge = memo.children[
+                    _child_key(rule_index, rule, assignment)
+                ][1]
                 key = edge.dedup_key()
                 if key not in seen:
                     seen.add(key)
@@ -502,6 +605,16 @@ class TypeAnalysis:
         """How many types saturation discovered."""
         self.saturate()
         return len(self.table)
+
+
+def _child_key(
+    rule_index: int, rule: TGD, assignment: Dict[Variable, int]
+) -> Tuple:
+    """A (rule, assignment) pair's key in a type's child memo."""
+    return (
+        rule_index,
+        tuple(assignment[v] for v in rule.body_variables_sorted),
+    )
 
 
 # -- process-executor plumbing ---------------------------------------------
@@ -532,7 +645,7 @@ def _pattern_join_remote(payload) -> List[List[Dict[Variable, int]]]:
     """
     bodies, cloud, constant_class, engine, order_policy = payload
     if engine == "indexed":
-        snapshot = cloud_index(cloud)
+        snapshot = PatternCloud(cloud)
         return [
             list(pattern_homomorphisms(
                 body, snapshot, constant_class, policy=order_policy

@@ -5,6 +5,12 @@ root bag; edges are bag-creating rule applications
 (:class:`~repro.termination.saturation.ChildEdge`).  Non-termination
 analysis (see :mod:`repro.termination.pumping`) happens on this finite
 graph.
+
+The graph is read off the saturation's worklist memo: the edges out
+of a node are the children its last saturation pass built, in join
+order, so building the graph runs no pattern join.  Nodes are visited
+breadth first from the root and edges keep that order, which the
+golden record ``tests/data/saturation_golden.json`` pins.
 """
 
 from __future__ import annotations
@@ -104,8 +110,8 @@ class TransitionGraph:
         """Size statistics for certificates and benchmarks.
 
         ``pattern_joins`` counts the body-vs-cloud joins the underlying
-        analysis executed (saturation + edge discovery) — the work the
-        class-indexed pattern engine accelerates.
+        saturation executed (edge discovery reuses them) — the work the
+        worklist keeps from repeating.
         """
         return {
             "types": len(self.nodes),

@@ -5,8 +5,19 @@ import pytest
 from repro.errors import BudgetExceededError, UnsupportedClassError
 from repro.model import Constant, Predicate
 from repro.parser import parse_database, parse_program
-from repro.termination import TypeAnalysis
+from repro.runtime import Budget
+from repro.termination import (
+    TransitionGraph,
+    TypeAnalysis,
+    decide_guarded,
+    decide_termination,
+)
 from repro.termination.abstraction import FRESH
+from repro.workloads import (
+    chain_family,
+    guarded_loop_family,
+    guarded_tower_family,
+)
 
 
 class TestConstruction:
@@ -131,3 +142,67 @@ class TestSaturationSemantics:
         count = analysis.type_count()
         analysis.saturate()
         assert analysis.type_count() == count
+
+
+class TestWorklist:
+    """Exact work counts of the worklist saturation, as recorded in
+    PERF.md ("Saturation worklist").  Counts do not depend on the
+    host's speed; the round-robin sweep it replaced did 880, 3560 and
+    14320 joins on these chains, 5/24/75/136 on the towers and
+    46/96/164/250 on the loops."""
+
+    @pytest.mark.parametrize(
+        "length, joins", [(10, 280), (20, 1160), (40, 4720)]
+    )
+    def test_chain_pattern_joins(self, length, joins):
+        verdict = decide_termination(chain_family(length), method="guarded")
+        assert verdict.stats["pattern_joins"] == joins
+
+    @pytest.mark.parametrize(
+        "levels, tower_joins, loop_joins",
+        [(1, 2, 14), (2, 8, 30), (3, 21, 52), (4, 40, 80)],
+    )
+    def test_e4_family_pattern_joins(self, levels, tower_joins, loop_joins):
+        tower = decide_guarded(guarded_tower_family(levels), "semi_oblivious")
+        loop = decide_guarded(guarded_loop_family(levels), "semi_oblivious")
+        assert tower.stats["pattern_joins"] == tower_joins
+        assert loop.stats["pattern_joins"] == loop_joins
+
+    def test_edge_discovery_reuses_the_last_joins(self):
+        analysis = TypeAnalysis(guarded_loop_family(2))
+        analysis.saturate()
+        joins = analysis.pattern_joins
+        graph = TransitionGraph(analysis)
+        assert graph.stats()["edges"] > 0
+        assert analysis.pattern_joins == joins
+
+    def test_saturation_resumes_after_a_cut_pass(self):
+        # The type budget trips inside the root's first pass, after
+        # b(c) was derived into its live cloud; raising the budget and
+        # saturating again must still derive it.
+        rules = parse_program("a(X) -> b(X)\na(X) -> exists Y . e(X, Y)")
+        database = parse_database("a(c)")
+        full = TypeAnalysis(rules, database=database)
+        full.saturate()
+        analysis = TypeAnalysis(rules, database=database, max_types=1)
+        with pytest.raises(BudgetExceededError):
+            analysis.saturate()
+        analysis.max_types = len(full.table)
+        analysis.saturate()
+        assert analysis.table == full.table
+
+    def test_one_round_is_one_generation(self):
+        # Saturating this program takes five worklist generations; a
+        # budget of k rounds stops it before generation k + 1 begins.
+        rules = parse_program(
+            "r(X, Y), p(Y) -> exists Z . r(Y, Z)\nr(X, Y) -> p(Y)"
+        )
+        for rounds in (1, 4):
+            with pytest.raises(BudgetExceededError) as info:
+                decide_guarded(
+                    rules, "semi_oblivious", budget=Budget(max_rounds=rounds)
+                )
+            assert info.value.stop_reason == "step_budget"
+        budget = Budget(max_rounds=5)
+        decide_guarded(rules, "semi_oblivious", budget=budget)
+        assert budget.rounds == 5
