@@ -1,11 +1,11 @@
-"""Shared helpers for the experiment benchmarks (E1–E10).
+"""Shared helpers for the experiment benchmarks (E1–E12).
 
-Every module regenerates one paper claim (DESIGN.md §4).  Helpers here
-print compact tables so that running
+Every E-test regenerates one paper claim (DESIGN.md §2).  Helpers here
+print compact tables, so that running
 
     pytest benchmarks/ --benchmark-only -s
 
-reproduces the paper-style summary rows recorded in EXPERIMENTS.md.
+prints the paper-style summary rows.
 """
 
 from __future__ import annotations

@@ -176,7 +176,7 @@ class Budget:
             ("max_facts", max_facts),
             ("max_memory_mb", max_memory_mb),
         ):
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # NaN too
                 raise ValueError(f"{name} must be positive, got {value}")
         self.timeout_s = timeout_s
         self.max_rounds = max_rounds

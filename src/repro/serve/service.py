@@ -228,6 +228,13 @@ class ChaseService:
                 f"unknown kernel {default_kernel!r}; expected one of "
                 f"{KERNELS}"
             )
+        # Every request without its own timeout_s gets this deadline,
+        # so a bad one would fail every request (or, NaN, never trip).
+        if request_timeout_s is not None and not request_timeout_s > 0:
+            raise ValueError(
+                f"request_timeout_s must be positive, got "
+                f"{request_timeout_s}"
+            )
         self.request_timeout_s = request_timeout_s
         self.cancel = cancel if cancel is not None else CancelToken()
         self.residents: Dict[str, Resident] = {}

@@ -9,7 +9,7 @@ there with a step budget gives a *semi*-decision procedure:
 
 The oracle is deliberately independent of the abstract deciders — the
 test-suite and several benchmarks cross-validate the two against each
-other (DESIGN.md §6).
+other (DESIGN.md §4).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Pumpable-cycle detection on the type-transition graph.
 
-The semantic criterion (DESIGN.md §3.2–3.3): the (semi-)oblivious
+The semantic criterion (DESIGN.md §1.2–1.3): the (semi-)oblivious
 chase of the critical instance is infinite iff the transition graph
 admits an infinite walk every one of whose steps fires a *new* trigger.
 An edge can repeat forever only if, each round, its trigger image

@@ -317,6 +317,13 @@ def test_nan_timeout_is_rejected():
     service.close()
 
 
+@pytest.mark.parametrize("timeout_s", [-1.0, 0.0, float("nan")])
+def test_bad_request_timeout_is_rejected(timeout_s):
+    # Requests without their own timeout_s get this deadline.
+    with pytest.raises(ValueError, match="request_timeout_s"):
+        ChaseService(request_timeout_s=timeout_s)
+
+
 def test_counters_are_exact_under_concurrency():
     service = fresh_service(max_inflight=None)
     resident = service.residents["default"]

@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import argparse
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+import repro
+from repro.cli import COMMANDS, build_parser, main
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+CLI_DOC = os.path.join(os.path.dirname(SRC), "docs", "CLI.md")
 
 
 @pytest.fixture
@@ -211,3 +221,153 @@ class TestErrors:
         rules.write_text("p(X, Y), q(Y, Z) -> exists W . r(X, W)\n")
         assert main(["check", str(rules)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--timeout", "--max-memory-mb"])
+    def test_nan_budget_limit_is_rejected(
+        self, terminating_rules_file, flag, capsys
+    ):
+        # NaN compares False with everything, so a "<= 0" test lets
+        # it through and the limit never trips.
+        assert main(["check", terminating_rules_file, flag, "nan"]) == 2
+        assert "must be positive, got nan" in capsys.readouterr().err
+
+    def test_serve_rejects_bad_request_timeout(
+        self, terminating_rules_file, db_file, monkeypatch, capsys
+    ):
+        import repro.serve
+
+        class NoServer:
+            """Stands in for the HTTP server, which must not start."""
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def run(self):
+                pass
+
+        monkeypatch.setattr(repro.serve, "ChaseServer", NoServer)
+        argv = ["serve", terminating_rules_file, db_file,
+                "--request-timeout", "-1"]
+        assert main(argv) == 2
+        assert ("error: request_timeout_s must be positive"
+                in capsys.readouterr().err)
+
+
+@pytest.fixture
+def argparse_calls(monkeypatch):
+    """Count the argparse parsers built and record every
+    ``add_argument`` call's arguments."""
+    calls = {"parsers": 0, "arguments": []}
+    init = argparse.ArgumentParser.__init__
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        calls["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def recording_add_argument(self, *args, **kwargs):
+        calls["arguments"].append((args, kwargs))
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "add_argument", recording_add_argument
+    )
+    return calls
+
+
+def _outcome(parse, argv, capsys):
+    """Exit status, stdout, stderr and parsed arguments of one parse."""
+    try:
+        parsed, status = vars(parse(argv)), None
+    except SystemExit as exc:
+        parsed, status = None, exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err, parsed
+
+
+#: Placeholder positionals that satisfy each command's parser.
+POSITIONALS = {
+    "classify": ["r.tgd"],
+    "check": ["r.tgd"],
+    "chase": [],
+    "query": ["q(X) :- p(X)"],
+    "inspect": ["DIR"],
+    "critical": ["r.tgd"],
+    "entail": ["r.tgd", "db.facts", "p(a)"],
+    "dot": ["r.tgd"],
+    "serve": [],
+}
+
+
+class TestPerCommandParser:
+    """``main`` builds only the invoked command's subparser, and the
+    user sees exactly what the full parser prints."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps help and usage to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["-h"], ["--help"], ["chek", "r.tgd"], ["nope"]]
+    )
+    def test_top_level_matches_full_parser(self, argv, capsys):
+        full = _outcome(build_parser().parse_args, argv, capsys)
+        assert _outcome(main, argv, capsys) == full
+        assert full[0] in (0, 2)
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_matches_full_parser(self, command, capsys):
+        given = POSITIONALS[command]
+        for argv in (
+            [command, "-h"],
+            [command],
+            [command, *given, "--variant", "bogus"],
+            [command, *given, "--no-such-flag"],
+            [command, *given],
+        ):
+            lazy = _outcome(build_parser(command).parse_args, argv, capsys)
+            full = _outcome(build_parser().parse_args, argv, capsys)
+            assert lazy == full, argv
+
+    def test_check_builds_only_its_parser(
+        self, terminating_rules_file, argparse_calls, capsys
+    ):
+        assert main(["check", terminating_rules_file]) == 0
+        # The top level and ``check``; all nine commands are 10 and 77.
+        assert argparse_calls["parsers"] == 2
+        assert len(argparse_calls["arguments"]) == 13
+
+    def test_python_m_repro_reads_sys_argv(self, capsys):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "check", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        status, out, err, _ = _outcome(
+            build_parser().parse_args, ["check", "--help"], capsys
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            status, out, err
+        )
+        assert out.startswith("usage: repro check")
+
+    def test_cli_doc_names_every_option(self, argparse_calls):
+        build_parser()
+        with open(CLI_DOC, encoding="utf-8") as handle:
+            doc = handle.read()
+        options = {
+            string
+            for args, kwargs in argparse_calls["arguments"]
+            if kwargs.get("action") != "help"
+            for string in args
+            if string.startswith("-")
+        }
+        undocumented = sorted(
+            option for option in options
+            if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])",
+                             doc)
+        )
+        assert "--variant" in options
+        assert undocumented == []

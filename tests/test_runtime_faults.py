@@ -318,6 +318,14 @@ class TestRaisingSurfaces:
         with pytest.raises(ValueError):
             Budget(max_rounds=-1)
 
+    @pytest.mark.parametrize(
+        "limit", ["timeout_s", "max_rounds", "max_facts", "max_memory_mb"]
+    )
+    def test_nan_limits_are_rejected(self, limit):
+        # A NaN deadline never trips and a NaN ceiling never binds.
+        with pytest.raises(ValueError, match=limit):
+            Budget(**{limit: float("nan")})
+
 
 class TestSlowFault:
     def test_slow_batches_still_identical(self, closure, monkeypatch):
