@@ -30,15 +30,6 @@ replica of its pre-PR-2 baseline:
 * **guarded_decider** — Theorem 4's type-graph procedure, compiled
   class-indexed pattern joins vs the retained naive backtracking scan.
 
-PR 3 adds **round-batched executor** scenarios (``*_parallel``): each
-runs its workload once through the serial engine and once through a
-batched executor (:mod:`repro.chase.scheduler`), asserts the results
-are byte-identical (facts, trigger keys, null/Skolem numbering), and
-records both walls plus the speedup.  On single-core CI boxes the
-``threaded`` executor is GIL-bound (~1×) and ``process`` pays spawn
-overhead (<1×); the rows exist to (a) prove equivalence on every run
-and (b) track the trajectory on real multi-core hardware.
-
 PR 5 adds two **query-side** scenarios (the read half of the paper's
 pipeline — chase → universal model → certain answers):
 
@@ -128,7 +119,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.chase import (
     ChaseVariant,
-    RoundScheduler,
     critical_instance,
     run_chase,
 )
@@ -568,133 +558,6 @@ DECIDERS = (
     (mfa_decider_scenario, run_mfa_decider),
     (guarded_decider_scenario, run_guarded_decider),
 )
-
-
-# -- round-batched executor scenarios --------------------------------------
-#
-# Each `*_parallel` row is serial-vs-batched on the same workload; the
-# runs must be byte-identical (same fact tuple, same trigger keys), so
-# every benchmark run doubles as an executor-equivalence check.
-
-
-def _chase_fingerprint(result: ChaseResult) -> Tuple:
-    return (
-        result.instance.facts(),
-        tuple(step.trigger.key(result.variant) for step in result.steps),
-    )
-
-
-def run_parallel_scenario(
-    spec: Dict, scheduler: str, workers: int
-) -> Dict:
-    """Serial vs batched run of one chase scenario; raises on any
-    divergence, records both walls and the speedup."""
-    serial_start = time.perf_counter()
-    serial = run_chase(
-        spec["database"], spec["rules"], spec["variant"], spec["max_steps"]
-    )
-    serial_wall = time.perf_counter() - serial_start
-
-    with RoundScheduler(scheduler, workers=workers) as sched:
-        batched_start = time.perf_counter()
-        batched = run_chase(
-            spec["database"], spec["rules"], spec["variant"],
-            spec["max_steps"], scheduler=sched,
-        )
-        batched_wall = time.perf_counter() - batched_start
-
-    if _chase_fingerprint(serial) != _chase_fingerprint(batched):
-        raise AssertionError(
-            f"executor divergence on {spec['name']} under {scheduler}: "
-            f"batched run is not byte-identical to serial"
-        )
-    return {
-        "name": f"{spec['name']}_parallel",
-        "scheduler": scheduler,
-        "workers": workers,
-        "variant": spec["variant"],
-        "facts_final": len(batched.instance),
-        "triggers_fired": batched.step_count,
-        "serial_wall_s": round(serial_wall, 6),
-        "batched_wall_s": round(batched_wall, 6),
-        "speedup": round(serial_wall / batched_wall, 2)
-        if batched_wall > 0 else None,
-        "equivalent": True,
-    }
-
-
-def run_mfa_parallel(spec: Dict, workers: int) -> Dict:
-    """Serial vs threaded vs spawn-process Skolem saturation — the
-    CPU-bound run the ``process`` executor exists for.  All three must
-    produce the same instance, witness, and fixpoint flag."""
-    rules = spec["rules"]
-    database = critical_instance(rules)
-
-    serial_start = time.perf_counter()
-    s_inst, s_cyc, s_fix = skolem_chase(database, rules, spec["max_steps"])
-    serial_wall = time.perf_counter() - serial_start
-
-    with RoundScheduler("threaded", workers=workers) as sched:
-        t_start = time.perf_counter()
-        t_inst, t_cyc, t_fix = skolem_chase(
-            database, rules, spec["max_steps"], scheduler=sched
-        )
-        threaded_wall = time.perf_counter() - t_start
-
-    with RoundScheduler("process", workers=workers) as sched:
-        p_start = time.perf_counter()
-        p_inst, p_cyc, p_fix = skolem_chase(
-            database, rules, spec["max_steps"], scheduler=sched
-        )
-        process_wall = time.perf_counter() - p_start
-        ship_stats = dict(sched.ship_stats)
-
-    for label, inst, cyc, fix in (
-        ("threaded", t_inst, t_cyc, t_fix),
-        ("process", p_inst, p_cyc, p_fix),
-    ):
-        if (cyc, fix) != (s_cyc, s_fix) or inst.facts() != s_inst.facts():
-            raise AssertionError(
-                f"executor divergence on {spec['name']} under {label}"
-            )
-    return {
-        "name": f"{spec['name']}_parallel",
-        "workers": workers,
-        "facts_final": len(s_inst),
-        "mfa": s_fix,
-        "serial_wall_s": round(serial_wall, 6),
-        "threaded_wall_s": round(threaded_wall, 6),
-        "process_wall_s": round(process_wall, 6),
-        "speedup_threaded": round(serial_wall / threaded_wall, 2)
-        if threaded_wall > 0 else None,
-        "speedup_process": round(serial_wall / process_wall, 2)
-        if process_wall > 0 else None,
-        # Delta-only shipping: total int rows shipped to workers across
-        # all rounds vs the rows the old ship-the-whole-instance
-        # protocol would have pickled (Σ per-round instance sizes).
-        "ship_rows": ship_stats.get("rows_shipped"),
-        "ship_rounds": ship_stats.get("rounds"),
-        "ship_full_syncs": ship_stats.get("full_ships"),
-        "ship_resyncs": ship_stats.get("resyncs"),
-        "ship_rows_old_protocol": ship_stats.get("rows_old_protocol"),
-        "equivalent": True,
-    }
-
-
-DEFAULT_PARALLEL_WORKERS = 4
-
-
-def run_parallel_suite(
-    scale: float, workers: int = DEFAULT_PARALLEL_WORKERS
-) -> List[Dict]:
-    """All `*_parallel` rows for the report."""
-    return [
-        run_parallel_scenario(deep_chain_scenario(scale), "threaded",
-                              workers),
-        run_parallel_scenario(guarded_ontology_scenario(scale), "threaded",
-                              workers),
-        run_mfa_parallel(mfa_decider_scenario(scale), workers=2),
-    ]
 
 
 # -- query-side scenarios (PR 5) -------------------------------------------
@@ -2269,9 +2132,6 @@ def run_suite(scale: float = 1.0, compare: bool = True) -> Dict:
         # answer-set (or verdict) equality before reporting a speedup.
         "queries": [run(make(scale)) for make, run in QUERY_SCENARIOS],
         "headline_query": HEADLINE_QUERY,
-        # Serial-vs-batched executor rows (each asserts byte-identical
-        # results before reporting a speedup).
-        "parallel": run_parallel_suite(scale),
         # Runtime-governance overhead (PR 6): governed vs ungoverned
         # headline chase, interleaved best-of-N, ≤5% gate.
         "fault_recovery": run_fault_recovery(scale),
@@ -2362,10 +2222,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"vs {row['wall_s']}s — {row['speedup']}x speedup "
             f"({row['rate_per_s']} per-s)"
         )
-    for row in payload["parallel"]:
-        wall_keys = [k for k in row if k.endswith("_wall_s")]
-        walls = ", ".join(f"{k[:-7]} {row[k]}s" for k in wall_keys)
-        print(f"parallel {row['name']}: {walls} (byte-identical)")
     fault = payload["fault_recovery"]
     if fault["within_gate"] is None:
         verdict = "gate skipped: wall below noise floor"

@@ -112,27 +112,6 @@ def test_check_mode_fails_on_query_regression():
     )
 
 
-def test_parallel_scenarios_are_byte_identical():
-    # run_parallel_scenario raises on any serial/batched divergence;
-    # the row records both walls and flags the equivalence check.
-    row = bench_perf.run_parallel_scenario(
-        bench_perf.deep_chain_scenario(SMOKE_SCALE), "threaded", 2
-    )
-    assert row["name"] == "deep_chain_parallel"
-    assert row["equivalent"] is True
-    assert row["serial_wall_s"] >= 0 and row["batched_wall_s"] >= 0
-
-
-def test_mfa_parallel_runs_all_three_executors():
-    row = bench_perf.run_mfa_parallel(
-        bench_perf.mfa_decider_scenario(SMOKE_SCALE), workers=2
-    )
-    assert row["equivalent"] is True
-    for key in ("serial_wall_s", "threaded_wall_s", "process_wall_s",
-                "speedup_threaded", "speedup_process"):
-        assert key in row
-
-
 def test_check_mode_passes_against_fresh_report():
     payload = bench_perf.run_suite(scale=SMOKE_SCALE, compare=False)
     ok, lines = bench_perf.check_against(payload, SMOKE_SCALE, ratio=0.01)
@@ -200,16 +179,6 @@ def test_persistence_row_smoke(tmp_path):
     assert row["disk_mb"] > 0
     assert row["save_s"] >= 0 and row["open_s"] >= 0
     assert row["rate_per_s"] is not None and row["rate_per_s"] > 0
-
-
-def test_mfa_parallel_reports_delta_shipping():
-    row = bench_perf.run_mfa_parallel(
-        bench_perf.mfa_decider_scenario(SMOKE_SCALE), workers=2
-    )
-    # Delta-only shipping: across a multi-round saturation the rows
-    # actually shipped must undercut the old ship-everything protocol.
-    assert row["ship_rounds"] and row["ship_rows"] is not None
-    assert row["ship_rows"] <= row["ship_rows_old_protocol"]
 
 
 def test_fault_recovery_row_smoke():
@@ -316,10 +285,6 @@ def test_suite_payload_shape(tmp_path):
         for key in ("kernel", "numpy", "answers", "gate_speedup",
                     "within_gate"):
             assert key in row
-    parallel_names = {row["name"] for row in payload["parallel"]}
-    assert {"deep_chain_parallel", "guarded_ontology_parallel",
-            "mfa_decider_parallel"} <= parallel_names
-    assert all(row["equivalent"] for row in payload["parallel"])
     fault = payload["fault_recovery"]
     for key in ("ungoverned_wall_s", "governed_wall_s", "overhead_pct",
                 "gate_pct", "within_gate", "budget_checks"):

@@ -6,11 +6,10 @@ worst moments the write-ahead ingest journal exists to survive:
 
 * **crash_ingest** — a deterministic ``os._exit`` after the WAL fsync
   and before the chase leg (the fault-injected version of ``kill -9``
-  mid-ingest), on each of the three executors (serial, threaded,
-  process).  The restarted server must *replay* the journaled delta,
-  answer a retried ``ingest_id`` with ``"replayed": true``, and yield
-  certain answers byte-identical to an in-process from-scratch chase
-  of the unioned database — and identical across all executors.
+  mid-ingest).  The restarted server must *replay* the journaled
+  delta, answer a retried ``ingest_id`` with ``"replayed": true``, and
+  yield certain answers byte-identical to an in-process from-scratch
+  chase of the unioned database.
 * **torn_write** — the journal append writes half its record and the
   process dies; the restart must truncate the torn tail and the retry
   must apply the delta cleanly (as a fresh ingest, not a replay).
@@ -56,12 +55,6 @@ EDGES = 6
 DELTA_1 = ["e(n6, n7)", "e(n7, n8)"]
 DELTA_2 = ["e(n8, n9)"]
 QUERY = "q(X, Y) :- p(X, Y)"
-
-EXECUTORS = [
-    ("serial", []),
-    ("threaded", ["--workers", "2", "--scheduler", "threaded"]),
-    ("process", ["--workers", "2", "--scheduler", "process"]),
-]
 
 CRASH_EXIT = 42
 
@@ -121,11 +114,11 @@ def child_env(faults=None):
     return env
 
 
-def start_server(store, extra_args, faults=None):
+def start_server(store, faults=None):
     """Launch ``repro serve --db`` and return (process, port)."""
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--db", store,
-         "--port", "0"] + extra_args,
+         "--port", "0"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         text=True, env=child_env(faults),
     )
@@ -188,15 +181,14 @@ def certain(port):
     return sorted(out["answers"])
 
 
-def crash_ingest_leg(name, extra_args, expected):
+def crash_ingest_leg(expected):
     """kill -9 (via fault injection) between WAL fsync and the chase;
     restart, replay, retry, verify byte-identical answers."""
     with tempfile.TemporaryDirectory() as tmp:
         store = os.path.join(tmp, "store")
         seed_store(store)
 
-        server, port = start_server(store, extra_args,
-                                    faults="crash_ingest:1")
+        server, port = start_server(store, faults="crash_ingest:1")
         error = expect_connection_death(
             port, {"facts": DELTA_1, "ingest_id": "d1"})
         if error:
@@ -207,7 +199,7 @@ def crash_ingest_leg(name, extra_args, expected):
         if error:
             return error
 
-        server, port = start_server(store, extra_args)
+        server, port = start_server(store)
         try:
             status, health = request(port, "GET", "/health")
             if status != 200 or health.get("status") != "ok":
@@ -229,7 +221,7 @@ def crash_ingest_leg(name, extra_args, expected):
             got = certain(port)
             if got != expected:
                 return fail_text(
-                    f"[{name}] recovered answers diverge: "
+                    f"recovered answers diverge: "
                     f"{got} != {expected}")
             error = shutdown_clean(server)
             if error:
@@ -249,7 +241,7 @@ def torn_write_leg(expected):
         store = os.path.join(tmp, "store")
         seed_store(store)
 
-        server, port = start_server(store, [], faults="torn_write")
+        server, port = start_server(store, faults="torn_write")
         error = expect_connection_death(
             port, {"facts": DELTA_1, "ingest_id": "d1"})
         if error:
@@ -260,7 +252,7 @@ def torn_write_leg(expected):
         if error:
             return error
 
-        server, port = start_server(store, [])
+        server, port = start_server(store)
         try:
             # Nothing durable was acknowledged: the retry is a *fresh*
             # ingest (no replay), applied exactly once.
@@ -298,7 +290,7 @@ def sigkill_leg(expected):
         store = os.path.join(tmp, "store")
         seed_store(store)
 
-        server, port = start_server(store, [], faults="slow_accept:30")
+        server, port = start_server(store, faults="slow_accept:30")
         outcome = {}
 
         def post():
@@ -315,7 +307,7 @@ def sigkill_leg(expected):
         if outcome.get("error"):
             return outcome["error"]
 
-        server, port = start_server(store, [])
+        server, port = start_server(store)
         try:
             status, retry = request(
                 port, "POST", "/facts",
@@ -346,12 +338,11 @@ def run() -> int:
     expected_full = reference_answers(DELTA_1, DELTA_2)
     expected_d1 = reference_answers(DELTA_1)
 
-    for name, extra_args in EXECUTORS:
-        error = crash_ingest_leg(name, extra_args, expected_full)
-        if error:
-            return fail(f"[crash_ingest/{name}] {error}")
-        print(f"check_chaos: crash_ingest/{name} ok "
-              f"({len(expected_full)} certain answers, byte-identical)")
+    error = crash_ingest_leg(expected_full)
+    if error:
+        return fail(f"[crash_ingest] {error}")
+    print(f"check_chaos: crash_ingest ok "
+          f"({len(expected_full)} certain answers, byte-identical)")
 
     error = torn_write_leg(expected_d1)
     if error:
@@ -364,9 +355,8 @@ def run() -> int:
     print("check_chaos: sigkill ok (unjournaled request retried cleanly)")
 
     print(
-        f"check_chaos: ok — journal replay byte-identical on "
-        f"{len(EXECUTORS)} executors, torn tail truncated, SIGKILL "
-        f"retry idempotent, clean SIGTERM shutdowns"
+        "check_chaos: ok — journal replay byte-identical, torn tail "
+        "truncated, SIGKILL retry idempotent, clean SIGTERM shutdowns"
     )
     return 0
 

@@ -18,7 +18,7 @@ echo "== paper-experiment suite (E1-E11) =="
 PYTHONPATH=src python -m pytest -x -q benchmarks \
     --ignore=benchmarks/test_perf_smoke.py
 
-echo "== fault-injection suite =="
+echo "== budget and cancellation suite =="
 PYTHONPATH=src python -m pytest -x -q tests/test_runtime_faults.py
 
 echo "== checkpoint/resume round trip =="

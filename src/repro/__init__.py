@@ -20,7 +20,7 @@ The library provides:
 * propositional atom entailment and the looping-operator reduction
   (:mod:`repro.entailment`);
 * runtime governance — resource budgets, cooperative cancellation,
-  and fault-tolerant executors (:mod:`repro.runtime`);
+  and deterministic fault injection (:mod:`repro.runtime`);
 * conjunctive queries and certain answers through a cost-based planner
   (:mod:`repro.query`, :mod:`repro.cq`), data exchange on top of the
   chase (:mod:`repro.exchange`), durable fact stores

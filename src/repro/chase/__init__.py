@@ -18,8 +18,6 @@ __all__ = [
     "DeltaEngine",
     "ONE_CONSTANT",
     "ONE_PREDICATE",
-    "RoundScheduler",
-    "SCHEDULER_KINDS",
     "Trigger",
     "ZERO_CONSTANT",
     "ZERO_PREDICATE",
@@ -28,18 +26,14 @@ __all__ = [
     "critical_domain",
     "critical_instance",
     "delta_triggers",
-    "discovery_batches",
-    "evaluate_batch",
     "extend_chase",
     "head_satisfied",
     "load_state",
     "oblivious_chase",
-    "resolve_scheduler",
     "resource_stats",
     "restricted_chase",
     "resume_chase",
     "run_chase",
-    "scheduled_delta_triggers",
     "semi_oblivious_chase",
     "standard_critical_instance",
     "triggers_for_rule",
@@ -69,14 +63,6 @@ __getattr__, __dir__ = _lazy.lazy_exports(__name__, {
         "semi_oblivious_chase",
     ),
     ".result": ("ChaseResult", "ChaseStep"),
-    ".scheduler": (
-        "SCHEDULER_KINDS",
-        "RoundScheduler",
-        "discovery_batches",
-        "evaluate_batch",
-        "resolve_scheduler",
-        "scheduled_delta_triggers",
-    ),
     ".triggers": (
         "ChaseVariant",
         "Trigger",

@@ -29,8 +29,8 @@ three files inside the store directory:
     on a bare int, and the decoded shape must match exactly).
 ``chase.pkl``
     A small pickled header rewritten atomically at every checkpoint:
-    variant, planner, ``max_steps``, the rules themselves (TGDs pickle
-    — they already ship to process workers), the two files' record/int
+    variant, planner, ``max_steps``, the rules themselves (TGDs
+    pickle), the two files' record/int
     watermarks, the null counter, the frontier, the interrupted
     round's pending triggers, and the fact count the header describes.
 

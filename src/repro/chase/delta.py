@@ -16,8 +16,7 @@ Discovering triggers lazily while mutating the instance lets facts
 added by one firing leak into join levels of the *same* enumeration
 (iterators entered later see them) — the pre-PR-2 MFA chase did
 exactly that, making its round structure ill-defined.  Materializing
-first makes rounds well-defined, engine-independent units, which is
-also the prerequisite for batching and parallelising them (ROADMAP).
+first makes rounds well-defined, engine-independent units.
 
 With the interned fact core, discovery is **int-only**: frontier facts
 are fact *ordinals* (log positions), pivot rows seed slot-based
@@ -32,16 +31,8 @@ Two pieces live here:
   match involves at least one fact of the delta, found via resolved
   pivot-seeded join execs;
 * :class:`DeltaEngine` — the round driver owning the state that must
-  survive across rounds: the frontier, the persistent fired-key set,
-  and (for the ``process`` executor) the delta-shipping log.
-
-Discovery is the read-only (and expensive) half of a round, so it is
-also the half that batches: pass a
-:class:`~repro.chase.scheduler.RoundScheduler` (or a kind name) to
-``DeltaEngine`` and each round's discovery work list is partitioned
-into per-``(rule, pivot)`` batches and evaluated by the configured
-executor, with a canonical-order merge that reproduces the serial
-trigger stream exactly (see :mod:`repro.chase.scheduler`).
+  survive across rounds: the frontier and the persistent fired-key
+  set.
 """
 
 from __future__ import annotations
@@ -63,12 +54,6 @@ from typing import (
 from ..errors import BudgetExceededError
 from ..model import Atom, Instance, TGD
 from ..query.kernels import batch_rule_matches
-from .scheduler import (
-    RoundScheduler,
-    ShipLog,
-    scheduled_delta_triggers,
-    scheduled_head_probes,
-)
 from .triggers import ChaseVariant, Trigger, rule_exec
 
 FrontierFact = Union[int, Atom]
@@ -217,9 +202,7 @@ class DeltaEngine:
       (internally fact ordinals; ``notify`` also accepts Atoms);
     * the *fired-key set* — the identification key of every trigger
       ever handed out, so historical triggers are neither re-discovered
-      nor re-keyed round after round; and
-    * the *ship log* — the ``process`` executor's delta-shipping state
-      (worker mirror versions), created lazily on first use.
+      nor re-keyed round after round.
 
     ``key`` maps a trigger to its identification key (typically
     ``Trigger.key(variant)``); a trigger whose key was already handed
@@ -238,12 +221,6 @@ class DeltaEngine:
     *between* ``next_round`` calls — i.e. while applying a materialized
     round — never during one (``next_round`` itself never mutates it).
 
-    ``scheduler`` (optional) batches each round's discovery pass
-    through a :class:`~repro.chase.scheduler.RoundScheduler`; the
-    default — and a plain serial scheduler without sharding — runs the
-    unbatched :func:`delta_triggers` loop.  Either way the trigger
-    stream is identical; the fired-key dedup below is always serial.
-
     ``budget`` (optional, a :class:`repro.runtime.budget.Budget`) is
     checked during each round's discovery pass — every
     ``BUDGET_CHECK_EVERY`` discovered triggers — and raises
@@ -254,8 +231,7 @@ class DeltaEngine:
     """
 
     __slots__ = ("rules", "instance", "fired", "budget", "fired_log",
-                 "store_ref", "_key", "_frontier", "_scheduler", "_ship",
-                 "_variant")
+                 "_key", "_frontier", "_variant")
 
     #: Budget-check cadence inside a round's discovery/dedup loop.
     BUDGET_CHECK_EVERY = 2048
@@ -265,7 +241,6 @@ class DeltaEngine:
         rules: Sequence[TGD],
         instance: Instance,
         key: Callable[[Trigger], Hashable],
-        scheduler: Optional[RoundScheduler] = None,
         variant: Optional[str] = None,
         budget=None,
         fired: Optional[Set[Hashable]] = None,
@@ -283,27 +258,13 @@ class DeltaEngine:
         # computes interned-form keys inline (no per-trigger lambda /
         # method dispatch); ``key`` remains the general fallback.
         self._variant = variant
-        if (
-            scheduler is not None
-            and scheduler.kind == "serial"
-            and scheduler.shard_size is None
-        ):
-            # Indistinguishable from no scheduler; drop it so the
-            # serial path stays the canonical single loop.
-            scheduler = None
-        self._scheduler = scheduler
         self.budget = budget
-        self._ship: Optional[ShipLog] = None
         #: When not None, every key newly added to ``fired`` is also
         #: appended here, in hand-out order — the checkpointer's
         #: append-only persistence feed (see :meth:`track_fired`).
         self.fired_log: Optional[List[Hashable]] = None
-        #: ``(path, facts_at_flush)`` of a durable store holding a
-        #: flushed prefix of this instance; process-executor worker
-        #: mirrors hydrate from it instead of receiving a full ship.
-        self.store_ref: Optional[Tuple[str, int]] = None
-        # Pre-intern every rule symbol serially, so batched discovery
-        # never allocates ids and id order is thread-independent.
+        # Intern every rule symbol up front, so rule-symbol ids come in
+        # rule order before round 1 discovers anything.
         instance.prepare_rules(self.rules)
         # The first round treats every existing fact as new (unless a
         # resumed frontier says otherwise).
@@ -343,13 +304,6 @@ class DeltaEngine:
         """How many facts await the next discovery pass."""
         return len(self._frontier)
 
-    def ship_log(self) -> ShipLog:
-        """The delta-shipping state for the ``process`` executor
-        (created on first use; one per engine run)."""
-        if self._ship is None:
-            self._ship = ShipLog(self.rules, store_ref=self.store_ref)
-        return self._ship
-
     def next_round(self) -> List[Trigger]:
         """Materialize the next round: every not-yet-fired trigger whose
         body match involves a frontier fact, in deterministic discovery
@@ -360,17 +314,7 @@ class DeltaEngine:
         if not frontier:
             return []
         self._frontier = []
-        scheduler = self._scheduler
-        if scheduler is None:
-            discovered: Iterable[Trigger] = delta_triggers(
-                self.rules, self.instance, frontier
-            )
-        else:
-            discovered = scheduled_delta_triggers(
-                scheduler, self.rules, self.instance, frontier,
-                state=self.ship_log()
-                if scheduler.kind == "process" else None,
-            )
+        discovered = delta_triggers(self.rules, self.instance, frontier)
         fired = self.fired
         out: List[Trigger] = []
         new_keys: List[Hashable] = []
@@ -434,23 +378,3 @@ class DeltaEngine:
         if log is not None:
             log.extend(new_keys)
         return out
-
-    def head_probes(self, triggers: Sequence[Trigger]) -> Optional[List[bool]]:
-        """Round-start head-satisfaction probes for a materialized
-        restricted round, evaluated through the engine's scheduler.
-
-        Returns one bool per trigger — True when the trigger's head is
-        already satisfied by the *round-start* instance (such triggers
-        will certainly be skipped; satisfaction is monotone) — or
-        ``None`` when no batched scheduler is attached (callers then
-        probe serially as before).  Read-only with respect to the
-        instance.
-        """
-        scheduler = self._scheduler
-        if scheduler is None or not triggers:
-            return None
-        return scheduled_head_probes(
-            scheduler, self.rules, self.instance, triggers,
-            state=self.ship_log()
-            if scheduler.kind == "process" else None,
-        )

@@ -37,7 +37,6 @@ from ..runtime.budget import (
 )
 from .delta import DeltaEngine, delta_triggers
 from .result import ChaseResult, ChaseStep
-from .scheduler import RoundScheduler, SchedulerSpec, resolve_scheduler
 from .triggers import (
     ChaseVariant,
     Trigger,
@@ -59,17 +58,9 @@ _STEP_CHECK_EVERY = 64
 _incremental_triggers = delta_triggers
 
 
-def resource_stats(
-    budget: Optional[Budget], scheduler: Optional[RoundScheduler]
-) -> dict:
-    """The ``ChaseResult.resource`` payload: the budget's accounting
-    plus the scheduler's fault counters whenever anything failed."""
-    out: dict = {}
-    if budget is not None:
-        out.update(budget.stats())
-    if scheduler is not None and scheduler.fault_stats.get("pool_failures"):
-        out["executor"] = dict(scheduler.fault_stats)
-    return out
+def resource_stats(budget: Optional[Budget]) -> dict:
+    """The ``ChaseResult.resource`` payload: the budget's accounting."""
+    return {} if budget is None else budget.stats()
 
 
 def _drive(
@@ -80,8 +71,6 @@ def _drive(
     factory: NullFactory,
     budget: Optional[Budget],
     engine: DeltaEngine,
-    round_scheduler: RoundScheduler,
-    owns_scheduler: bool,
     steps: List[ChaseStep],
     rng=None,
     ckpt: Optional[Checkpointer] = None,
@@ -115,10 +104,10 @@ def _drive(
         return ChaseResult(
             instance, terminated, steps, variant, max_steps,
             stop_reason=reason,
-            resource=resource_stats(budget, round_scheduler),
+            resource=resource_stats(budget),
         )
 
-    def fire(round_triggers, probes):
+    def fire(round_triggers):
         """Apply one materialized round; returns ``(stop, fired)``
         where ``stop`` is a budget-stopped result (checkpointed with
         the round's unapplied remainder) or None."""
@@ -128,14 +117,11 @@ def _drive(
         # trigger, keeping budget overhead inside the bench gate.
         check_in = _STEP_CHECK_EVERY if budget is not None else -1
         for position, trigger in enumerate(round_triggers):
-            if restricted:
-                if probes is not None and probes[position]:
-                    # Satisfied triggers never become unsatisfied,
-                    # so skipping them for good — they are already
-                    # in the engine's fired-key set — is safe.
-                    continue
-                if head_satisfied(trigger, instance):
-                    continue
+            if restricted and head_satisfied(trigger, instance):
+                # Satisfied triggers never become unsatisfied, so
+                # skipping them for good — they are already in the
+                # engine's fired-key set — is safe.
+                continue
             new_ordinals = apply_trigger_ids(trigger, instance, factory)
             steps.append(ChaseStep(trigger, instance, new_ordinals))
             engine.notify(new_ordinals)
@@ -152,64 +138,47 @@ def _drive(
                                   round_triggers[position + 1:]), fired
         return None, fired
 
-    try:
-        if len(steps) >= max_steps:
-            # A resumed run whose step budget was not raised: stop
-            # where the interrupted run stopped, byte-identically.
-            return finish(False, STOP_STEP_BUDGET, pending)
-        if pending:
-            # Resume mid-round: replay the interrupted round's
-            # remainder.  Restricted head checks run serially against
-            # the current instance — exactly what the uninterrupted
-            # engine does for triggers whose round-start probe came
-            # back False, and satisfaction is monotone, so the firing
-            # sequence is byte-identical.
-            stop, _ = fire(tuple(pending), None)
-            if stop is not None:
-                return stop
-            if budget is not None:
-                budget.note_round()
-            rounds += 1
-            if ckpt is not None and not rounds % checkpoint_every:
-                ckpt.checkpoint(engine, steps, (), rounds)
-        while True:
-            if budget is not None:
-                reason = budget.check(facts=len(instance))
-                if reason is not None:
-                    return finish(False, reason)
-            try:
-                round_triggers = engine.next_round()
-            except BudgetExceededError as exc:
-                # Discovery is read-only and rolls its dedup state
-                # back: instance and engine are still the round-start
-                # state, i.e. round-consistent (and resumable).
-                return finish(False, exc.stop_reason or STOP_STEP_BUDGET)
-            if rng is not None:
-                rng.shuffle(round_triggers)
-            # The batched *apply* half of restricted rounds: probe head
-            # satisfaction for the whole materialized round against the
-            # round-start instance through the scheduler's executor.
-            # Satisfaction is monotone (instances only grow), so a
-            # True probe is a certain skip; a False probe is re-checked
-            # serially at its canonical turn against the current
-            # instance — the firing sequence is byte-identical to the
-            # fully serial engine's.
-            probes = (
-                engine.head_probes(round_triggers) if restricted else None
-            )
-            stop, fired_this_round = fire(round_triggers, probes)
-            if stop is not None:
-                return stop
-            if budget is not None:
-                budget.note_round()
-            rounds += 1
-            if fired_this_round == 0:
-                return finish(True, STOP_FIXPOINT)
-            if ckpt is not None and not rounds % checkpoint_every:
-                ckpt.checkpoint(engine, steps, (), rounds)
-    finally:
-        if owns_scheduler:
-            round_scheduler.close()
+    if len(steps) >= max_steps:
+        # A resumed run whose step budget was not raised: stop where
+        # the interrupted run stopped, byte-identically.
+        return finish(False, STOP_STEP_BUDGET, pending)
+    if pending:
+        # Resume mid-round: replay the interrupted round's remainder.
+        # Restricted head checks run against the current instance,
+        # exactly as the uninterrupted engine checks each trigger at
+        # its turn, so the firing sequence is byte-identical.
+        stop, _ = fire(tuple(pending))
+        if stop is not None:
+            return stop
+        if budget is not None:
+            budget.note_round()
+        rounds += 1
+        if ckpt is not None and not rounds % checkpoint_every:
+            ckpt.checkpoint(engine, steps, (), rounds)
+    while True:
+        if budget is not None:
+            reason = budget.check(facts=len(instance))
+            if reason is not None:
+                return finish(False, reason)
+        try:
+            round_triggers = engine.next_round()
+        except BudgetExceededError as exc:
+            # Discovery is read-only and rolls its dedup state back:
+            # instance and engine are still the round-start state,
+            # i.e. round-consistent (and resumable).
+            return finish(False, exc.stop_reason or STOP_STEP_BUDGET)
+        if rng is not None:
+            rng.shuffle(round_triggers)
+        stop, fired_this_round = fire(round_triggers)
+        if stop is not None:
+            return stop
+        if budget is not None:
+            budget.note_round()
+        rounds += 1
+        if fired_this_round == 0:
+            return finish(True, STOP_FIXPOINT)
+        if ckpt is not None and not rounds % checkpoint_every:
+            ckpt.checkpoint(engine, steps, (), rounds)
 
 
 def run_chase(
@@ -219,8 +188,6 @@ def run_chase(
     max_steps: int = DEFAULT_MAX_STEPS,
     null_factory: Optional[NullFactory] = None,
     order_seed: Optional[int] = None,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
@@ -271,16 +238,6 @@ def run_chase(
     chase is genuinely order-sensitive; the default order is one
     canonical fair sequence.
 
-    ``scheduler`` / ``workers`` select the round executor
-    (:mod:`repro.chase.scheduler`): ``"serial"`` (default),
-    ``"threaded"``, ``"process"``, or a ready
-    :class:`~repro.chase.scheduler.RoundScheduler` (reused, not
-    closed); ``workers=N`` alone selects the threaded executor.
-    Every executor produces a byte-identical result — same
-    facts in the same order, same trigger keys, same null numbering —
-    because only the read-only discovery half of a round is batched and
-    the merge applies firings in canonical round order.
-
     ``save`` names a directory to checkpoint the run into (a durable
     fact store plus the evaluation state, see
     :mod:`repro.chase.checkpoint`), every ``checkpoint_every`` rounds
@@ -325,14 +282,12 @@ def run_chase(
     instance.order_policy = planner
     instance.kernel = kernel
     factory = null_factory or NullFactory()
-    round_scheduler, owns_scheduler = resolve_scheduler(scheduler, workers)
     if budget is not None:
         budget.start()
     engine = DeltaEngine(
         rules,
         instance,
         key=lambda trigger: trigger.key(variant),
-        scheduler=round_scheduler,
         variant=variant,
         budget=budget,
     )
@@ -343,30 +298,21 @@ def run_chase(
 
         rng = random.Random(order_seed)
     ckpt = None
-    try:
-        if save is not None:
-            # Checkpoints (and the durable store under them) load only
-            # for runs that save.
-            from .checkpoint import Checkpointer
+    if save is not None:
+        # Checkpoints (and the durable store under them) load only for
+        # runs that save.
+        from .checkpoint import Checkpointer
 
-            engine.track_fired()
-            ckpt = Checkpointer.create(
-                save, instance, rules, variant, planner, max_steps,
-                overwrite=overwrite,
-            )
-            # Checkpoint 0: the database and the rule symbols — also
-            # the hydration source for process-executor worker mirrors
-            # (they open the store instead of receiving a full ship).
-            ckpt.checkpoint(engine, steps)
-            engine.store_ref = (save, ckpt.writer.facts)
-    except BaseException:
-        if owns_scheduler:
-            round_scheduler.close()
-        raise
+        engine.track_fired()
+        ckpt = Checkpointer.create(
+            save, instance, rules, variant, planner, max_steps,
+            overwrite=overwrite,
+        )
+        # Checkpoint 0: the database and the rule symbols.
+        ckpt.checkpoint(engine, steps)
     return _drive(
         instance, rules, variant, max_steps, factory, budget, engine,
-        round_scheduler, owns_scheduler, steps, rng=rng, ckpt=ckpt,
-        checkpoint_every=checkpoint_every,
+        steps, rng=rng, ckpt=ckpt, checkpoint_every=checkpoint_every,
     )
 
 
@@ -374,8 +320,6 @@ def resume_chase(
     path: str,
     rules: Optional[Sequence[TGD]] = None,
     *,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget: Optional[Budget] = None,
     max_steps: Optional[int] = None,
     save: bool = True,
@@ -389,7 +333,7 @@ def resume_chase(
     against the checkpointed program (by string form) and mismatches
     are refused.  The continued run is byte-identical to the
     uninterrupted run: same facts in the same order, same trigger
-    keys, same null numbering, same provenance — on every executor.
+    keys, same null numbering, same provenance.
 
     ``max_steps`` (default: the checkpointed value) must be raised
     above the recorded step count to make progress after a
@@ -431,38 +375,29 @@ def resume_chase(
             stop_reason=state["stop_reason"] or STOP_FIXPOINT,
         )
     factory = NullFactory(start=state["null_next"])
-    round_scheduler, owns_scheduler = resolve_scheduler(scheduler, workers)
     if budget is not None:
         budget.start()
-    try:
-        engine = DeltaEngine(
-            rules,
-            instance,
-            key=lambda trigger: trigger.key(variant),
-            scheduler=round_scheduler,
-            variant=variant,
-            budget=budget,
-            fired=state["fired"],
-            frontier=state["frontier"],
-        )
-        engine.store_ref = (path, state["facts"])
-        ckpt = None
-        if save:
-            engine.track_fired()
-            ckpt = Checkpointer.attach(path, instance, state, max_steps)
-        pending = tuple(
-            Trigger.from_ids(rules[ri], ri, tuple(ids), instance)
-            for ri, ids in state["pending"]
-        )
-    except BaseException:
-        if owns_scheduler:
-            round_scheduler.close()
-        raise
+    engine = DeltaEngine(
+        rules,
+        instance,
+        key=lambda trigger: trigger.key(variant),
+        variant=variant,
+        budget=budget,
+        fired=state["fired"],
+        frontier=state["frontier"],
+    )
+    ckpt = None
+    if save:
+        engine.track_fired()
+        ckpt = Checkpointer.attach(path, instance, state, max_steps)
+    pending = tuple(
+        Trigger.from_ids(rules[ri], ri, tuple(ids), instance)
+        for ri, ids in state["pending"]
+    )
     return _drive(
         instance, rules, variant, max_steps, factory, budget, engine,
-        round_scheduler, owns_scheduler, steps, ckpt=ckpt,
-        checkpoint_every=checkpoint_every, pending=pending,
-        rounds_done=state["rounds"],
+        steps, ckpt=ckpt, checkpoint_every=checkpoint_every,
+        pending=pending, rounds_done=state["rounds"],
     )
 
 
@@ -470,8 +405,6 @@ def oblivious_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
@@ -479,8 +412,7 @@ def oblivious_chase(
     """The oblivious chase: every distinct body homomorphism fires."""
     return run_chase(
         database, rules, ChaseVariant.OBLIVIOUS, max_steps,
-        scheduler=scheduler, workers=workers, planner=planner,
-        kernel=kernel, budget=budget,
+        planner=planner, kernel=kernel, budget=budget,
     )
 
 
@@ -488,8 +420,6 @@ def semi_oblivious_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
@@ -498,8 +428,7 @@ def semi_oblivious_chase(
     are indistinguishable."""
     return run_chase(
         database, rules, ChaseVariant.SEMI_OBLIVIOUS, max_steps,
-        scheduler=scheduler, workers=workers, planner=planner,
-        kernel=kernel, budget=budget,
+        planner=planner, kernel=kernel, budget=budget,
     )
 
 
@@ -507,8 +436,6 @@ def restricted_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
@@ -517,6 +444,5 @@ def restricted_chase(
     yet satisfied."""
     return run_chase(
         database, rules, ChaseVariant.RESTRICTED, max_steps,
-        scheduler=scheduler, workers=workers, planner=planner,
-        kernel=kernel, budget=budget,
+        planner=planner, kernel=kernel, budget=budget,
     )

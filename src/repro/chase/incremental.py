@@ -4,8 +4,8 @@ The one-shot entry points (:func:`~repro.chase.engine.run_chase`,
 :func:`~repro.chase.engine.resume_chase`) tear down their evaluation
 state when they return.  A :class:`ChaseSession` keeps it alive — the
 :class:`~repro.chase.delta.DeltaEngine` with its persistent fired-key
-set and frontier, the null counter, the step log, the scheduler, and
-(optionally) the checkpointer — so that when new *base facts* arrive
+set and frontier, the null counter, the step log, and (optionally)
+the checkpointer — so that when new *base facts* arrive
 the chase is **resumed from the delta** instead of re-run: the new
 rows are appended, seeded into the semi-naive frontier, and the round
 loop continues exactly as if the interrupted run had always contained
@@ -15,12 +15,11 @@ leg with extra database rows").
 Equivalence guarantees of an extension leg (``tests/test_incremental.py``
 holds the engine to all three):
 
-* **Byte-identical across executors and persistence paths.**  For a
-  fixed arrival schedule (base facts, then deltas, in order), the
-  maintained instance — facts order, trigger keys, provenance, null
-  numbering — is byte-identical on the serial, threaded, and process
-  executors, with or without a durable store underneath, and identical
-  to stopping the process and continuing the legs via
+* **Byte-identical across persistence paths.**  For a fixed arrival
+  schedule (base facts, then deltas, in order), the maintained
+  instance — facts order, trigger keys, provenance, null numbering —
+  is byte-identical with or without a durable store underneath, and
+  identical to stopping the process and continuing the legs via
   :func:`extend_chase` on the saved directory.
 * **Skolem-equal to the from-scratch union chase.**  For the oblivious
   and semi-oblivious variants, the maintained instance equals the
@@ -56,7 +55,6 @@ from ..runtime.budget import STOP_FIXPOINT, Budget
 from .delta import DeltaEngine, ingest_facts
 from .engine import DEFAULT_MAX_STEPS, _drive
 from .result import ChaseResult, ChaseStep
-from .scheduler import SchedulerSpec, resolve_scheduler
 from .triggers import ChaseVariant, Trigger
 
 
@@ -86,8 +84,7 @@ class ChaseSession:
     __slots__ = (
         "instance", "rules", "variant", "planner", "max_steps",
         "result",
-        "_engine", "_factory", "_steps", "_scheduler",
-        "_owns_scheduler", "_ckpt", "_checkpoint_every",
+        "_engine", "_factory", "_steps", "_ckpt", "_checkpoint_every",
         "_pending", "_rounds", "_terminated", "_stop_reason",
         "_closed",
     )
@@ -119,8 +116,6 @@ class ChaseSession:
         max_steps: int = DEFAULT_MAX_STEPS,
         planner: str = "heuristic",
         kernel: str = "tuple",
-        scheduler: SchedulerSpec = None,
-        workers: Optional[int] = None,
         budget: Optional[Budget] = None,
         save: Optional[str] = None,
         overwrite: bool = False,
@@ -164,37 +159,26 @@ class ChaseSession:
         session.instance = instance
         session._factory = NullFactory()
         session._steps = []
-        round_scheduler, owns = resolve_scheduler(scheduler, workers)
-        session._scheduler = round_scheduler
-        session._owns_scheduler = owns
         if budget is not None:
             budget.start()
-        try:
-            session._engine = DeltaEngine(
-                rules,
-                instance,
-                key=lambda trigger: trigger.key(variant),
-                scheduler=round_scheduler,
-                variant=variant,
-                budget=budget,
-            )
-            session._ckpt = None
-            if save is not None:
-                from .checkpoint import Checkpointer
+        session._engine = DeltaEngine(
+            rules,
+            instance,
+            key=lambda trigger: trigger.key(variant),
+            variant=variant,
+            budget=budget,
+        )
+        session._ckpt = None
+        if save is not None:
+            from .checkpoint import Checkpointer
 
-                session._engine.track_fired()
-                session._ckpt = Checkpointer.create(
-                    save, instance, rules, variant, planner, max_steps,
-                    overwrite=overwrite,
-                )
-                session._ckpt.checkpoint(session._engine, session._steps)
-                session._engine.store_ref = (
-                    save, session._ckpt.writer.facts
-                )
-            session._run_leg(budget)
-        except BaseException:
-            session.close()
-            raise
+            session._engine.track_fired()
+            session._ckpt = Checkpointer.create(
+                save, instance, rules, variant, planner, max_steps,
+                overwrite=overwrite,
+            )
+            session._ckpt.checkpoint(session._engine, session._steps)
+        session._run_leg(budget)
         return session
 
     @classmethod
@@ -202,8 +186,6 @@ class ChaseSession:
         cls,
         path: str,
         *,
-        scheduler: SchedulerSpec = None,
-        workers: Optional[int] = None,
         budget: Optional[Budget] = None,
         max_steps: Optional[int] = None,
         save: bool = True,
@@ -243,51 +225,42 @@ class ChaseSession:
             )
             for ri, ids, ords in state["steps"]
         ]
-        round_scheduler, owns = resolve_scheduler(scheduler, workers)
-        session._scheduler = round_scheduler
-        session._owns_scheduler = owns
         if budget is not None:
             budget.start()
-        try:
-            session._engine = DeltaEngine(
-                rules,
-                instance,
-                key=lambda trigger: trigger.key(session.variant),
-                scheduler=round_scheduler,
-                variant=session.variant,
-                budget=budget,
-                fired=state["fired"],
-                frontier=state["frontier"],
+        session._engine = DeltaEngine(
+            rules,
+            instance,
+            key=lambda trigger: trigger.key(session.variant),
+            variant=session.variant,
+            budget=budget,
+            fired=state["fired"],
+            frontier=state["frontier"],
+        )
+        session._ckpt = None
+        if save:
+            session._engine.track_fired()
+            session._ckpt = Checkpointer.attach(
+                path, instance, state, session.max_steps
             )
-            session._engine.store_ref = (path, state["facts"])
-            session._ckpt = None
-            if save:
-                session._engine.track_fired()
-                session._ckpt = Checkpointer.attach(
-                    path, instance, state, session.max_steps
-                )
-            session._pending = tuple(
-                Trigger.from_ids(rules[ri], ri, tuple(ids), instance)
-                for ri, ids in state["pending"]
+        session._pending = tuple(
+            Trigger.from_ids(rules[ri], ri, tuple(ids), instance)
+            for ri, ids in state["pending"]
+        )
+        session._rounds = state["rounds"]
+        if state["terminated"]:
+            # Nothing to drive; the resident state is the finished
+            # run, ready for extension legs.
+            session._terminated = True
+            session._stop_reason = (
+                state["stop_reason"] or STOP_FIXPOINT
             )
-            session._rounds = state["rounds"]
-            if state["terminated"]:
-                # Nothing to drive; the resident state is the finished
-                # run, ready for extension legs.
-                session._terminated = True
-                session._stop_reason = (
-                    state["stop_reason"] or STOP_FIXPOINT
-                )
-                session.result = ChaseResult(
-                    instance, True, session._steps, session.variant,
-                    session.max_steps,
-                    stop_reason=session._stop_reason,
-                )
-            else:
-                session._run_leg(budget)
-        except BaseException:
-            session.close()
-            raise
+            session.result = ChaseResult(
+                instance, True, session._steps, session.variant,
+                session.max_steps,
+                stop_reason=session._stop_reason,
+            )
+        else:
+            session._run_leg(budget)
         return session
 
     # -- the legs ------------------------------------------------------------
@@ -299,9 +272,7 @@ class ChaseSession:
         sink: dict = {}
         result = _drive(
             self.instance, self.rules, self.variant, self.max_steps,
-            self._factory, budget, self._engine, self._scheduler,
-            False,  # the session owns the scheduler, not the leg
-            self._steps,
+            self._factory, budget, self._engine, self._steps,
             ckpt=self._ckpt,
             checkpoint_every=self._checkpoint_every,
             pending=self._pending,
@@ -401,15 +372,9 @@ class ChaseSession:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the session's executor (if it owns one).  Idempotent;
-        the instance and result remain readable."""
-        if self._closed:
-            return
+        """Mark the session closed: :meth:`extend` then refuses.
+        Idempotent; the instance and result remain readable."""
         self._closed = True
-        if getattr(self, "_owns_scheduler", False):
-            scheduler = getattr(self, "_scheduler", None)
-            if scheduler is not None:
-                scheduler.close()
 
     def __enter__(self) -> "ChaseSession":
         return self
@@ -422,8 +387,6 @@ def extend_chase(
     path: str,
     facts: Iterable[Atom],
     *,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget: Optional[Budget] = None,
     max_steps: Optional[int] = None,
     checkpoint_every: int = 1,
@@ -440,7 +403,7 @@ def extend_chase(
     ``budget``).
     """
     with ChaseSession.resume(
-        path, scheduler=scheduler, workers=workers, budget=budget,
-        max_steps=max_steps, checkpoint_every=checkpoint_every,
+        path, budget=budget, max_steps=max_steps,
+        checkpoint_every=checkpoint_every,
     ) as session:
         return session.extend(facts, budget=budget)

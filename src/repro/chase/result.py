@@ -58,7 +58,7 @@ class ChaseResult:
     resource limit; ``stop_reason`` (one of
     :data:`repro.runtime.budget.STOP_REASONS`) says which, and
     ``resource`` carries the run's resource accounting (elapsed time,
-    rounds, memory, executor-degradation counters).  Nothing is
+    rounds, memory).  Nothing is
     implied about the true (in)finiteness of the chase, which is
     exactly why the paper's deciders exist.
 

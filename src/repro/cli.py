@@ -12,15 +12,6 @@ evaluates a conjunctive query over it through the cost-based planner
 (:mod:`repro.query`): naive answers by default, null-free certain
 answers with ``--certain``.
 
-``--workers N`` batches each chase/saturation round over a worker pool
-(``N`` workers; see :mod:`repro.chase.scheduler`).  The executor
-defaults to ``threaded`` when ``--workers`` is given and can be forced
-with ``--scheduler``.  Neither pool has been measured faster than a
-serial run: on 2 vCPUs threaded rounds ran at 0.89–0.93× of serial's
-speed and process rounds, which pickle every round, at 0.06–0.28×.
-Results are byte-identical across executors — batching never changes a
-chase result or a verdict, only how the round's join work is executed.
-
 ``--timeout``, ``--max-memory-mb``, and ``--max-rounds`` govern the
 run through a :class:`repro.runtime.budget.Budget`; a tripped limit
 stops the run between trigger applications, prints what was computed,
@@ -64,7 +55,6 @@ import threading
 from typing import Optional, Sequence
 
 from .chase import (
-    SCHEDULER_KINDS,
     ChaseVariant,
     critical_instance,
     resume_chase,
@@ -101,7 +91,6 @@ EXIT_CODES = {
     "deadline": 4,
     "memory": 5,
     "cancelled": 6,
-    "executor_degraded": 7,
 }
 _BUDGET_EXIT_FALLBACK = 3
 
@@ -112,7 +101,6 @@ _STATUS = {
     "deadline": "deadline exceeded",
     "memory": "memory ceiling exceeded",
     "cancelled": "cancelled",
-    "executor_degraded": "executor degraded",
 }
 
 _VARIANTS = {
@@ -133,14 +121,6 @@ def _load_rules(path: str):
 def _load_database(path: str):
     with open(path) as handle:
         return parse_database(handle.read())
-
-
-def _scheduler_args(args):
-    """Map the ``--workers`` / ``--scheduler`` flags to the library's
-    ``scheduler=`` / ``workers=`` knobs.  The library already gives
-    ``workers`` alone the threaded executor; ``--scheduler`` forces a
-    specific one."""
-    return {"scheduler": args.scheduler, "workers": args.workers or None}
 
 
 def _budget_from(args) -> Budget:
@@ -174,17 +154,6 @@ def _sigint_cancels(budget: Budget):
         signal.signal(signal.SIGINT, previous)
 
 
-def _warn_degraded(resource: dict) -> None:
-    executor = resource.get("executor")
-    if executor and executor.get("degraded"):
-        print(
-            "% warning: process executor degraded to serial after "
-            f"{executor.get('pool_failures', 0)} pool failure(s); "
-            "the result is complete and identical to a serial run",
-            file=sys.stderr,
-        )
-
-
 def _cmd_classify(args) -> int:
     rules = _load_rules(args.rules)
     report = classify(rules)
@@ -197,10 +166,18 @@ def _cmd_classify(args) -> int:
 
 def _cmd_check(args) -> int:
     rules = _load_rules(args.rules)
+    budget = _budget_from(args)
     if args.full:
         from .termination import termination_report
 
-        report = termination_report(rules)
+        with _sigint_cancels(budget):
+            report = termination_report(
+                rules,
+                standard=args.standard,
+                allow_oracle=args.allow_oracle,
+                order_policy=args.planner,
+                budget=budget,
+            )
         print(report.render())
         verdict = (
             report.semi_oblivious
@@ -211,7 +188,6 @@ def _cmd_check(args) -> int:
             return 2
         return 0 if verdict.terminating else 1
     variant = _VARIANTS[args.variant]
-    budget = _budget_from(args)
     with _sigint_cancels(budget):
         verdict = decide_termination(
             rules,
@@ -220,7 +196,6 @@ def _cmd_check(args) -> int:
             allow_oracle=args.allow_oracle,
             order_policy=args.planner,
             budget=budget,
-            **_scheduler_args(args),
         )
     print(verdict.explain())
     return 0 if verdict.terminating else 1
@@ -230,7 +205,6 @@ def _chase_summary(variant: str, result) -> None:
     status = _STATUS.get(result.stop_reason, result.stop_reason)
     print(f"% {variant} chase: {status} after {result.step_count} steps, "
           f"{len(result.instance)} facts")
-    _warn_degraded(result.resource)
 
 
 def _cmd_chase(args) -> int:
@@ -252,7 +226,6 @@ def _cmd_chase(args) -> int:
                 max_steps=max_steps, budget=budget,
                 save=not args.no_save,
                 checkpoint_every=args.checkpoint_every,
-                **_scheduler_args(args),
             )
         _chase_summary(result.variant, result)
         print(instance_to_text(result.instance))
@@ -269,7 +242,6 @@ def _cmd_chase(args) -> int:
             planner=args.planner, kernel=args.kernel, budget=budget,
             save=args.save, overwrite=args.overwrite,
             checkpoint_every=args.checkpoint_every,
-            **_scheduler_args(args),
         )
     _chase_summary(variant, result)
     if args.save is not None and result.stop_reason != "fixpoint":
@@ -351,7 +323,6 @@ def _cmd_query(args) -> int:
         result = run_chase(
             database, rules, variant, max_steps=args.max_steps,
             planner=args.planner, kernel=args.kernel, budget=budget,
-            **_scheduler_args(args),
         )
         _chase_summary(variant, result)
         if args.certain and not result.terminated:
@@ -506,7 +477,6 @@ def _cmd_serve(args) -> int:
         if os.path.exists(os.path.join(args.db, CHASE_STATE)):
             session = ChaseSession.resume(
                 args.db, budget=budget, max_steps=args.max_steps,
-                **_scheduler_args(args)
             )
             resident = service.add_session(
                 "default", session, journal=True
@@ -541,7 +511,6 @@ def _cmd_serve(args) -> int:
                 database, rules, variant=variant, max_steps=max_steps,
                 planner=args.planner, kernel=args.kernel, budget=budget,
                 save=args.save, overwrite=args.overwrite,
-                **_scheduler_args(args),
             )
         service.add_session(
             "default", session, journal=bool(args.save)
@@ -558,17 +527,6 @@ def _cmd_serve(args) -> int:
     finally:
         service.close()
     return 0
-
-
-def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help="batch each round over N workers (results are identical "
-             "to a serial run; default: serial)")
-    parser.add_argument(
-        "--scheduler", choices=SCHEDULER_KINDS, default=None,
-        help="round executor; defaults to 'threaded' when --workers "
-             "is given")
 
 
 def _add_planner_flag(
@@ -626,7 +584,6 @@ def _add_check(check: argparse.ArgumentParser) -> None:
     check.add_argument("--full", action="store_true",
                        help="print the full report (classes, the "
                             "sufficient-condition zoo, both variants)")
-    _add_scheduler_flags(check)
     _add_planner_flag(check, default="cost")
     _add_budget_flags(check)
     check.set_defaults(func=_cmd_check)
@@ -657,7 +614,6 @@ def _add_chase(chase: argparse.ArgumentParser) -> None:
     chase.add_argument("--no-save", action="store_true",
                        help="with --resume, continue in memory without "
                             "advancing the on-disk checkpoint")
-    _add_scheduler_flags(chase)
     _add_planner_flag(chase, default="heuristic")
     _add_kernel_flag(chase)
     _add_budget_flags(chase)
@@ -679,7 +635,6 @@ def _add_query(query: argparse.ArgumentParser) -> None:
                             "sorted")
     query.add_argument("--variant", choices=sorted(_VARIANTS), default="r")
     query.add_argument("--max-steps", type=int, default=10_000)
-    _add_scheduler_flags(query)
     _add_planner_flag(query, default="cost")
     _add_kernel_flag(query)
     _add_budget_flags(query)
@@ -747,7 +702,6 @@ def _add_serve(serve: argparse.ArgumentParser) -> None:
                             "store; ingested deltas persist there too")
     serve.add_argument("--overwrite", action="store_true",
                        help="with --save, replace an existing store")
-    _add_scheduler_flags(serve)
     _add_planner_flag(serve, default="cost")
     _add_kernel_flag(serve)
     _add_budget_flags(serve)

@@ -51,22 +51,17 @@ def entails_atom(
         rules, database=database, max_types=max_types,
         order_policy=order_policy, budget=budget,
     )
-    # close() on every exit path — an exception (budget trip, bad
-    # input) must not strand an executor pool the analysis created.
+    if atom.predicate not in analysis.schema:
+        return False
     try:
-        if atom.predicate not in analysis.schema:
-            return False
-        try:
-            classes = tuple(analysis.constant_class[t] for t in atom.terms)
-        except KeyError:
-            return False
-        analysis.saturate()
-        return (
-            (atom.predicate, classes)
-            in analysis.saturated_cloud(analysis.root)
-        )
-    finally:
-        analysis.close()
+        classes = tuple(analysis.constant_class[t] for t in atom.terms)
+    except KeyError:
+        return False
+    analysis.saturate()
+    return (
+        (atom.predicate, classes)
+        in analysis.saturated_cloud(analysis.root)
+    )
 
 
 def saturated_facts(
@@ -85,11 +80,8 @@ def saturated_facts(
         rules, database=database, max_types=max_types,
         order_policy=order_policy, budget=budget,
     )
-    try:
-        analysis.saturate()
-        out = Database()
-        for pred, classes in analysis.saturated_cloud(analysis.root):
-            out.add(Atom(pred, [analysis.constants[c] for c in classes]))
-        return out
-    finally:
-        analysis.close()
+    analysis.saturate()
+    out = Database()
+    for pred, classes in analysis.saturated_cloud(analysis.root):
+        out.add(Atom(pred, [analysis.constants[c] for c in classes]))
+    return out

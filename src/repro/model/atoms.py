@@ -197,7 +197,7 @@ _PREDICATE_LOCK = threading.Lock()
 def intern_predicate(name: str, arity: int) -> Predicate:
     """The canonical :class:`Predicate` for ``(name, arity)``
     (thread-safe); unpickling funnels through this so schema objects
-    stay deduplicated across ``process``-executor round-trips."""
+    stay deduplicated across pickle round-trips."""
     key = (name, arity)
     pred = _PREDICATE_INTERN.get(key)
     if pred is None:

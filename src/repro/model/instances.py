@@ -174,10 +174,6 @@ class Instance:
         """Decode a predicate id."""
         return self._store.pred_objs[pid]
 
-    def prime_predicate(self, predicate: Predicate, pid: int) -> None:
-        """Install a parent-assigned predicate id (worker mirrors)."""
-        self._store.prime_predicate(predicate, pid)
-
     def term_id(self, term: Term) -> int:
         """The (interning) dense id of ``term``."""
         return self._store.symbols.intern(term)
@@ -200,11 +196,11 @@ class Instance:
         """Pre-intern every predicate and constant of ``rules`` in a
         fixed order (rule-major, body before head, position order).
 
-        Engines call this once, serially, before any batched round so
-        that threaded discovery only ever *reads* the symbol table —
-        id assignment order can then never depend on thread timing.
-        (On a reopened durable store this also hydrates every relation
-        the rules mention, before any round runs.)
+        Engines call this once, before round 1, so rule-symbol ids
+        come in this fixed order whatever the first round discovers —
+        the ids a checkpoint persists and a resumed run reuses.  On a
+        reopened durable store this also hydrates every relation the
+        rules mention, before any round runs.
         """
         from .terms import Variable
 

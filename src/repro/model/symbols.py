@@ -16,19 +16,11 @@ Design points:
   of every run ever executed, and two runs assign ids independently.
   Determinism still holds: ids are handed out in first-intern order,
   and a byte-identical execution interns in a byte-identical order.
-* **Lock-guarded.**  The ``threaded`` round executor resolves compiled
-  plans from worker threads; double-checked interning under a
-  ``threading.Lock`` keeps "one symbol, one id" true under races.
-  (Engines additionally pre-intern all rule symbols serially — see
-  ``Instance.prepare_rules`` — so threaded discovery never *allocates*
-  ids and id order cannot depend on thread scheduling.)
-* **Primed / sealed tables.**  ``process``-executor workers mirror the
-  parent's fact log as raw int rows and never materialize terms; the
-  only symbols they need are the rule constants, shipped once as
-  ``(term, parent_id)`` pairs and installed with :meth:`prime`.  A
-  *sealed* table allocates **negative** ids for anything interned past
-  that point, so a worker can never mint an id that collides with a
-  parent id appearing in shipped rows.
+* **Lock-guarded.**  The query server runs requests on worker
+  threads; double-checked interning under a ``threading.Lock`` keeps
+  "one symbol, one id" true should two threads intern into one table.
+* **Primed tables.**  A durable store reopens its table from the
+  persisted ``(object, id)`` pairs, installed with :meth:`prime`.
 
 Pickling rebuilds through the constructor (the intern dict's hashes are
 only valid under the pickling interpreter's hash randomization, exactly
@@ -44,22 +36,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 class SymbolTable:
     """A thread-safe bijection ``object <-> dense int id``.
 
-    Ids are non-negative and dense in first-intern order for ordinary
-    tables; a ``sealed`` table (worker mirrors) hands out negative ids
-    instead, so fresh allocations can never shadow primed parent ids.
+    Ids are non-negative and dense in first-intern order.
     """
 
-    __slots__ = ("_ids", "_objs", "_next", "_sealed", "_lock")
+    __slots__ = ("_ids", "_objs", "_next", "_lock")
 
-    def __init__(
-        self,
-        primed: Iterable[Tuple[object, int]] = (),
-        sealed: bool = False,
-    ):
+    def __init__(self, primed: Iterable[Tuple[object, int]] = ()):
         self._ids: Dict[object, int] = {}
         self._objs: Dict[int, object] = {}
         self._next = 0
-        self._sealed = sealed
         self._lock = threading.Lock()
         for obj, sid in primed:
             self.prime(obj, sid)
@@ -73,11 +58,8 @@ class SymbolTable:
             with self._lock:
                 sid = self._ids.get(obj)
                 if sid is None:
-                    if self._sealed:
-                        sid = -len(self._ids) - 1
-                    else:
-                        sid = self._next
-                        self._next = sid + 1
+                    sid = self._next
+                    self._next = sid + 1
                     self._ids[obj] = sid
                     self._objs[sid] = obj
         return sid
@@ -87,8 +69,8 @@ class SymbolTable:
         return self._ids.get(obj)
 
     def prime(self, obj: object, sid: int) -> None:
-        """Install ``obj ↔ sid`` (the process executor's symbol-diff
-        application).  Idempotent; conflicting re-priming raises."""
+        """Install ``obj ↔ sid`` (a reopened store's persisted
+        assignment).  Idempotent; conflicting re-priming raises."""
         with self._lock:
             known = self._ids.get(obj)
             if known is not None:
@@ -114,7 +96,6 @@ class SymbolTable:
         out._ids = dict(self._ids)
         out._objs = dict(self._objs)
         out._next = self._next
-        out._sealed = self._sealed
         out._lock = threading.Lock()
         return out
 
@@ -138,8 +119,7 @@ class SymbolTable:
         return obj in self._ids
 
     def items(self) -> List[Tuple[object, int]]:
-        """``(object, id)`` pairs in id order — the wire form shipped to
-        process-executor workers and used by the round-trip tests."""
+        """``(object, id)`` pairs in id order — the pickled form."""
         return sorted(self._ids.items(), key=lambda kv: kv[1])
 
     def items_from(self, start: int) -> List[Tuple[object, int]]:
@@ -150,17 +130,10 @@ class SymbolTable:
         objs = self._objs
         return [(objs[i], i) for i in range(start, self._next)]
 
-    def seal(self) -> None:
-        """Switch to sealed allocation (negative ids) from now on —
-        worker mirrors hydrated from a store seal the full parent
-        table so they can never mint a colliding id."""
-        self._sealed = True
-
     def __reduce__(self):
         # Rebuild through the constructor: dict keys carry hashes from
         # the sending interpreter (see module docstring).
-        return (SymbolTable, (tuple(self.items()), self._sealed))
+        return (SymbolTable, (tuple(self.items()),))
 
     def __repr__(self) -> str:
-        kind = "sealed " if self._sealed else ""
-        return f"SymbolTable(<{kind}{len(self._ids)} symbols>)"
+        return f"SymbolTable(<{len(self._ids)} symbols>)"

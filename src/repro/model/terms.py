@@ -12,9 +12,9 @@ The chase manipulates three kinds of terms:
 All terms are immutable, hashable, and totally ordered within their own
 kind, which keeps instances and homomorphisms deterministic.
 
-Pickling (the ``process`` round executor ships terms across interpreter
-boundaries) deliberately does **not** use the default slot-state
-protocol: every term caches its hash, and a cached ``_hash`` computed
+Pickling (checkpoints and stores persist terms that another
+interpreter reads back) deliberately does **not** use the default
+slot-state protocol: every term caches its hash, and a cached ``_hash`` computed
 under one interpreter's hash randomization is garbage under another's —
 an unpickled term would be internally consistent but never collide with
 an equal term built on the receiving side, silently breaking every
@@ -22,7 +22,7 @@ dict/set lookup.  Instead each class defines ``__reduce__`` to rebuild
 through its constructor (recomputing the hash locally); constants and
 variables additionally round-trip through ``threading.Lock``-guarded
 intern tables, so unpickling N copies of the same name yields one
-object and repeated cross-process rounds do not balloon memory.
+object.
 """
 
 from __future__ import annotations
@@ -143,9 +143,9 @@ Term = Union[Constant, Variable, Null]
 #
 # Unpickling funnels through these so that N pickled copies of the same
 # constant/variable collapse to one object per interpreter.  The tables
-# are lock-guarded: the ``threaded`` round executor may deserialize (or
-# parsers may intern) from several threads at once, and check-then-set
-# on a plain dict could hand out two distinct "canonical" objects.
+# are lock-guarded: the query server's worker threads may deserialize
+# or parse at once, and check-then-set on a plain dict could hand out
+# two distinct "canonical" objects.
 # Only the canonical base classes are interned — subclasses (e.g. the
 # MFA machinery's SkolemTerm) define their own ``__reduce__`` and never
 # route here.

@@ -34,8 +34,9 @@ Two kernels live here:
   LeapFrog TrieJoin).  Each atom's candidate rows are projected to its
   variables in one global variable order and sorted lexicographically
   (a flattened trie); evaluation intersects the per-variable sorted
-  runs by leapfrogging ``searchsorted`` seeks, so a triangle query
-  never materializes the quadratic binary intermediate.  Output order
+  runs by leapfrogging bisection seeks, so a triangle query never
+  materializes the quadratic binary intermediate.  The trie is pure
+  Python on purpose: it measured faster than a NumPy twin (PERF.md).  Output order
   is the leapfrog order (sorted by term id along the variable order),
   *not* the tuple engine's — consumers get set-identical answers.
 
@@ -685,63 +686,11 @@ def batch_rule_matches(
 # -- the worst-case-optimal (leapfrog) kernel -------------------------------
 
 
-class _TrieNp:
-    """One atom's flattened trie (NumPy path): candidate rows
-    projected to the atom's variable slots in global order, sorted
-    lexicographically and deduplicated.  ``cols[c]`` is the c-th
-    projected column; windows on it are sorted once the first ``c``
-    columns are fixed."""
-
-    __slots__ = ("slots", "cols", "lists", "size")
-
-    def __init__(self, instance: Instance, step: ResolvedStep,
-                 global_order: Sequence[int]):
-        np = _np
-        rank = {slot: i for i, slot in enumerate(global_order)}
-        ordered = sorted(
-            ((slot, p0) for slot, p0, _ in step.groups),
-            key=lambda pair: rank[pair[0]],
-        )
-        self.slots = tuple(slot for slot, _ in ordered)
-        cand = _candidates_np(instance, step)
-        if not ordered:
-            # All-constant atom: a zero-column trie whose emptiness is
-            # the existence verdict.
-            self.cols = ()
-            self.lists = ()
-            self.size = len(cand)
-            return
-        proj = cand[:, [p0 for _, p0 in ordered]]
-        if len(proj):
-            keys = tuple(proj[:, c] for c in range(proj.shape[1] - 1, -1, -1))
-            proj = proj[np.lexsort(keys)]
-            if len(proj) > 1:
-                distinct = np.any(proj[1:] != proj[:-1], axis=1)
-                keep = np.empty(len(proj), dtype=bool)
-                keep[0] = True
-                keep[1:] = distinct
-                proj = proj[keep]
-        self.cols = tuple(
-            np.ascontiguousarray(proj[:, c]) for c in range(proj.shape[1])
-        )
-        # Python-int mirrors: ``at`` runs once per leapfrog probe, and
-        # a list index is ~10x cheaper than a NumPy scalar conversion.
-        self.lists = tuple(col.tolist() for col in self.cols)
-        self.size = len(proj)
-
-    def seek(self, lo: int, hi: int, depth: int, value: int) -> int:
-        """The first position in ``[lo, hi)`` whose ``depth``-th column
-        is at least ``value``."""
-        col = self.cols[depth]
-        return lo + int(_np.searchsorted(col[lo:hi], value, side="left"))
-
-    def at(self, pos: int, depth: int) -> int:
-        return self.lists[depth][pos]
-
-
-class _TriePy:
-    """The pure-Python twin of :class:`_TrieNp` (bisect over sorted
-    deduplicated projection tuples)."""
+class _Trie:
+    """One atom's flattened trie: candidate rows projected to the
+    atom's variable slots in global order, as sorted deduplicated
+    tuples.  Windows on column ``c`` are sorted once the first ``c``
+    columns are fixed, so a probe is a bisection."""
 
     __slots__ = ("slots", "rows", "size")
 
@@ -755,6 +704,8 @@ class _TriePy:
         self.slots = tuple(slot for slot, _ in ordered)
         cand = _candidates_py(instance, step)
         if not ordered:
+            # All-constant atom: a zero-column trie whose emptiness is
+            # the existence verdict.
             self.rows: List[Tuple[int, ...]] = []
             self.size = len(cand)
             return
@@ -763,22 +714,19 @@ class _TriePy:
         self.size = len(self.rows)
 
     def seek(self, lo: int, hi: int, depth: int, value: int) -> int:
-        return self._bisect(lo, hi, depth, value, True)
-
-    def at(self, pos: int, depth: int) -> int:
-        return self.rows[pos][depth]
-
-    def _bisect(self, lo: int, hi: int, depth: int, value: int,
-                left: bool) -> int:
+        """The first position in ``[lo, hi)`` whose ``depth``-th column
+        is at least ``value``."""
         rows = self.rows
         while lo < hi:
             mid = (lo + hi) // 2
-            cell = rows[mid][depth]
-            if cell < value or (not left and cell == value):
+            if rows[mid][depth] < value:
                 lo = mid + 1
             else:
                 hi = mid
         return lo
+
+    def at(self, pos: int, depth: int) -> int:
+        return self.rows[pos][depth]
 
 
 #: Budget-check cadence inside the leapfrog recursion (per binding).
@@ -804,8 +752,7 @@ def _run_wcoj_impl(
 ):
     steps = exec_.steps
     order = _wcoj_variable_order(steps)
-    trie_cls = _TrieNp if _numpy() is not None else _TriePy
-    tries = [trie_cls(instance, step, order) for step in steps]
+    tries = [_Trie(instance, step, order) for step in steps]
     for trie in tries:
         if trie.size == 0:
             return []

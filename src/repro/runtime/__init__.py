@@ -9,16 +9,16 @@ This package supplies the *which*:
   (cooperative cancellation), checked by every round-based engine at
   round/batch boundaries;
 * :mod:`repro.runtime.faults` — a deterministic fault-injection
-  harness (worker crashes, slow batches, allocation spikes) driven by
-  the ``REPRO_FAULTS`` environment variable, so spawned workers see
-  the same fault plan as the parent.  Used by the fault-path test
-  suite; inert unless the variable is set.
+  harness (allocation spikes, server crashes mid-ingest, torn journal
+  writes, slow requests) driven by the ``REPRO_FAULTS`` environment
+  variable, so a server subprocess sees the same fault plan as the
+  test that started it.  Used by the fault-path test suites; inert
+  unless the variable is set.
 """
 
 from .budget import (
     STOP_CANCELLED,
     STOP_DEADLINE,
-    STOP_EXECUTOR_DEGRADED,
     STOP_FIXPOINT,
     STOP_MEMORY,
     STOP_REASONS,
@@ -33,7 +33,6 @@ __all__ = [
     "CancelToken",
     "STOP_CANCELLED",
     "STOP_DEADLINE",
-    "STOP_EXECUTOR_DEGRADED",
     "STOP_FIXPOINT",
     "STOP_MEMORY",
     "STOP_REASONS",

@@ -31,7 +31,6 @@ STOP_STEP_BUDGET = "step_budget"
 STOP_DEADLINE = "deadline"
 STOP_MEMORY = "memory"
 STOP_CANCELLED = "cancelled"
-STOP_EXECUTOR_DEGRADED = "executor_degraded"
 
 #: Every value ``ChaseResult.stop_reason`` (and the CLI's exit-code
 #: table) can take, in roughly increasing severity.
@@ -41,7 +40,6 @@ STOP_REASONS = (
     STOP_DEADLINE,
     STOP_MEMORY,
     STOP_CANCELLED,
-    STOP_EXECUTOR_DEGRADED,
 )
 
 _PAGE_SIZE = 4096

@@ -1,17 +1,11 @@
 """Deterministic fault injection for the execution stack.
 
-The fault plan travels in the ``REPRO_FAULTS`` environment variable —
-the one channel that survives ``spawn``-context process creation — so
-a test can arrange for *worker* processes to crash, stall, or spike
-their apparent memory use without patching any code path.  The format
-is a comma-separated list of directives::
+The fault plan travels in the ``REPRO_FAULTS`` environment variable,
+so a test can arrange for a subprocess (the CLI, or a ``repro serve``
+server) to crash, stall, or spike its apparent memory use without
+patching any code path.  The format is a comma-separated list of
+directives::
 
-    crash:N[:TOKEN_DIR]   crash (os._exit) the Nth..(first) worker batch;
-                          with TOKEN_DIR, at most N crashes happen
-                          *globally* (each crash claims a token file
-                          atomically), so a respawned pool eventually
-                          succeeds — or keeps dying when N is large.
-    slow:SECONDS          sleep before evaluating each worker batch.
     spike:BYTES           report BYTES of extra working-set to the
                           memory probe (parent-side; makes memory-
                           ceiling stops deterministic).
@@ -29,12 +23,9 @@ is a comma-separated list of directives::
                           (os._exit 42) — a torn write the journal
                           must detect and truncate at restart.
 
-``crash`` only fires in worker processes (never in the parent or the
-serial executor), so an injected fault exercises the pool-recovery
-machinery rather than killing the run outright; the ``crash_ingest`` /
-``slow_accept`` / ``torn_write`` family is serve-scoped and fires in
-the *server* process, exercising the service's own recoverability
-(journal replay, admission shedding) rather than the chase workers'.
+The ``crash_ingest`` / ``slow_accept`` / ``torn_write`` family is
+serve-scoped and fires in the *server* process, exercising the
+service's own recoverability (journal replay, admission shedding).
 All hooks are inert — a handful of dict lookups — when
 ``REPRO_FAULTS`` is unset.
 """
@@ -49,9 +40,6 @@ ENV_VAR = "REPRO_FAULTS"
 # Parsed plan cache, keyed on the raw env string so in-process tests
 # that mutate os.environ are picked up immediately.
 _parsed: Tuple[Optional[str], Dict] = (None, {})
-
-# Per-process count of worker batches seen (crash candidates).
-_batches_seen = 0
 
 
 def _plan() -> Dict:
@@ -68,12 +56,7 @@ def _plan() -> Dict:
                 continue
             parts = directive.split(":")
             kind = parts[0]
-            if kind == "crash":
-                plan["crash_count"] = int(parts[1])
-                plan["crash_dir"] = parts[2] if len(parts) > 2 else None
-            elif kind == "slow":
-                plan["slow_s"] = float(parts[1])
-            elif kind == "spike":
+            if kind == "spike":
                 plan["spike_bytes"] = int(parts[1])
             elif kind == "crash_ingest":
                 plan["crash_ingest"] = int(parts[1])
@@ -87,58 +70,6 @@ def _plan() -> Dict:
                 )
     _parsed = (raw, plan)
     return plan
-
-
-def _in_worker() -> bool:
-    # Only the crash directive asks, so only it loads multiprocessing.
-    import multiprocessing
-
-    return multiprocessing.current_process().name != "MainProcess"
-
-
-def _claim_crash(crash_dir: Optional[str], count: int) -> bool:
-    """Claim one of the ``count`` crash tokens; False when exhausted.
-
-    Tokens are files created with ``O_CREAT | O_EXCL`` — atomic across
-    processes — so at most ``count`` crashes happen in total no matter
-    how many workers race for them.  Without a token directory the
-    crash budget is per-process (the first ``count`` batches each
-    worker sees).
-    """
-    if crash_dir is None:
-        return _batches_seen <= count
-    for index in range(count):
-        path = os.path.join(crash_dir, f"crash-{index}")
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            continue
-        os.close(fd)
-        return True
-    return False
-
-
-def batch_hook() -> None:
-    """Called at every worker batch entry point.
-
-    Applies the active plan: optional slow-down, then (workers only) a
-    crash if a crash token is available.  ``os._exit`` — not an
-    exception — so the parent sees genuine worker death, exactly like
-    an OOM kill or segfault.
-    """
-    plan = _plan()
-    if not plan:
-        return
-    global _batches_seen
-    _batches_seen += 1
-    slow = plan.get("slow_s")
-    if slow:
-        import time
-
-        time.sleep(slow)
-    count = plan.get("crash_count")
-    if count and _in_worker() and _claim_crash(plan.get("crash_dir"), count):
-        os._exit(42)
 
 
 def alloc_spike_bytes() -> int:

@@ -729,7 +729,7 @@ class ChaseService:
         self.cancel.cancel()
 
     def close(self) -> None:
-        """Shut down and release every session's executor."""
+        """Shut down and close every resident session."""
         self.shutdown()
         for resident in self.residents.values():
             if resident.session is not None:

@@ -126,7 +126,7 @@ class FactStore:
         return self.pred_objs[pid]
 
     def prime_predicate(self, predicate: Predicate, pid: int) -> None:
-        """Install a parent-assigned predicate id (worker mirrors)."""
+        """Install a known predicate id (a reopened or copied store)."""
         known = self.pred_ids.get(predicate)
         if known is not None:
             if known != pid:

@@ -13,7 +13,7 @@ checkpoint committed" is durable:
   delta through :meth:`~repro.chase.incremental.ChaseSession.extend`,
   and the existing resume guarantees make the result byte-identical
   to the uninterrupted run (``ci/check_chaos.py`` holds the server to
-  this on all three executors).
+  this).
 * A client that never saw its response may retry with the same
   ``ingest_id``: the effect is applied **at most once**, and the retry
   receives the recorded response (marked ``"replayed": true``).

@@ -13,9 +13,8 @@ procedure:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..chase.scheduler import SchedulerSpec
 from ..chase.triggers import ChaseVariant
 from ..classes import is_full, narrowest_class
 from ..errors import UnsupportedClassError
@@ -37,8 +36,6 @@ def decide_termination(
     allow_oracle: bool = False,
     oracle_steps: int = DEFAULT_ORACLE_STEPS,
     order_policy: str = "cost",
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget=None,
 ) -> TerminationVerdict:
     """Decide all-instance ``variant``-chase termination for ``rules``.
@@ -60,14 +57,6 @@ def decide_termination(
         Join-order policy for the guarded procedure's pattern joins
         (:data:`repro.query.planner.ORDER_POLICIES`); verdicts are
         policy-independent.
-    scheduler, workers:
-        Round executor for the procedures that run (bounded) chases —
-        currently the guarded type-graph saturation (see
-        :mod:`repro.chase.scheduler`).  ``"serial"`` (default),
-        ``"threaded"``, ``"process"``, or a ready
-        :class:`~repro.chase.scheduler.RoundScheduler`.  Verdicts are
-        executor-independent; the NL/PSPACE graph procedures ignore
-        the knob.
     budget:
         Optional :class:`repro.runtime.budget.Budget` governing the
         guarded saturation (deadline, memory ceiling, cancellation);
@@ -90,8 +79,7 @@ def decide_termination(
     if method == "guarded":
         return decide_guarded(
             rules, variant, standard=standard, max_types=max_types,
-            order_policy=order_policy,
-            scheduler=scheduler, workers=workers, budget=budget,
+            order_policy=order_policy, budget=budget,
         )
     if method == "oracle":
         return _oracle_or_raise(rules, variant, standard, oracle_steps)
@@ -118,8 +106,7 @@ def decide_termination(
     if cls == "guarded":
         return decide_guarded(
             rules, variant, standard=standard, max_types=max_types,
-            order_policy=order_policy,
-            scheduler=scheduler, workers=workers, budget=budget,
+            order_policy=order_policy, budget=budget,
         )
     if allow_oracle:
         return _oracle_or_raise(rules, variant, standard, oracle_steps)

@@ -12,9 +12,8 @@ the lower bounds need standardness.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..chase.scheduler import SchedulerSpec
 from ..chase.triggers import ChaseVariant
 from ..classes import is_guarded
 from ..errors import UnsupportedClassError
@@ -32,8 +31,6 @@ def decide_guarded(
     max_types: int = DEFAULT_MAX_TYPES,
     pattern_engine: str = "indexed",
     order_policy: str = "cost",
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget=None,
 ) -> TerminationVerdict:
     """Decide ``Σ ∈ CT_variant`` for guarded Σ (Theorem 4).
@@ -53,11 +50,6 @@ def decide_guarded(
     and as the benchmark baseline.  ``order_policy`` selects the
     planner's join ordering for the indexed engine
     (:data:`repro.query.planner.ORDER_POLICIES`).
-
-    ``scheduler`` / ``workers`` batch saturation's cloud joins across
-    rules (:mod:`repro.chase.scheduler`); the verdict, witness, and
-    stats are identical under every executor.  Pools created here are
-    closed before returning.
     """
     rules = list(rules)
     if not is_guarded(rules):
@@ -76,16 +68,11 @@ def decide_guarded(
         max_types=max_types,
         pattern_engine=pattern_engine,
         order_policy=order_policy,
-        scheduler=scheduler,
-        workers=workers,
         budget=budget,
     )
-    try:
-        graph = TransitionGraph(analysis)
-        stats = graph.stats()
-        witness = find_pumping_witness(graph, variant)
-    finally:
-        analysis.close()
+    graph = TransitionGraph(analysis)
+    stats = graph.stats()
+    witness = find_pumping_witness(graph, variant)
     if witness is not None:
         return TerminationVerdict(
             False, variant, "guarded_type_graph", witness, stats

@@ -34,7 +34,6 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from ..chase.critical import critical_instance
 from ..chase.delta import DeltaEngine
-from ..chase.scheduler import SchedulerSpec, resolve_scheduler
 from ..chase.triggers import ChaseVariant, _head_template
 from ..errors import BudgetExceededError
 from ..model import (
@@ -126,8 +125,6 @@ def skolem_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MFA_STEPS,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> Tuple[Instance, Optional[SkolemTerm], bool]:
     """Run the Skolem chase.
@@ -150,39 +147,19 @@ def skolem_chase(
     least such term of the earliest cyclic round is returned.  Once a
     round turns up a cyclic term, the remaining triggers of that round
     are only scanned for further witnesses, not applied.
-
-    ``scheduler`` / ``workers`` batch the per-round trigger discovery
-    (:mod:`repro.chase.scheduler`); this is the CPU-bound saturation
-    run the ``process`` executor exists for.  The instance, witness,
-    and fixpoint flag are identical under every executor.
     """
     rules = list(rules)
     validate_program(rules)
     instance = Instance(database)
-    round_scheduler, owns_scheduler = resolve_scheduler(scheduler, workers)
     if budget is not None:
         budget.start()
     engine = DeltaEngine(
         rules,
         instance,
         key=lambda trigger: trigger.key(ChaseVariant.SEMI_OBLIVIOUS),
-        scheduler=round_scheduler,
         variant=ChaseVariant.SEMI_OBLIVIOUS,
         budget=budget,
     )
-    try:
-        return _run_skolem_rounds(engine, instance, max_steps, budget)
-    finally:
-        if owns_scheduler:
-            round_scheduler.close()
-
-
-def _run_skolem_rounds(
-    engine: DeltaEngine,
-    instance: Instance,
-    max_steps: int,
-    budget: Optional[Budget] = None,
-) -> Tuple[Instance, Optional[SkolemTerm], bool]:
     steps = 0
     decode = instance.symbols.obj
     term_id = instance.term_id
@@ -244,8 +221,6 @@ def _run_skolem_rounds(
 def is_mfa(
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MFA_STEPS,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> bool:
     """Model-faithful acyclicity of Σ (checked over the critical
@@ -258,8 +233,7 @@ def is_mfa(
         return True
     database = critical_instance(rules)
     _, cyclic, fixpoint = skolem_chase(
-        database, rules, max_steps, scheduler=scheduler, workers=workers,
-        budget=budget,
+        database, rules, max_steps, budget=budget,
     )
     if cyclic is not None:
         return False
@@ -283,8 +257,6 @@ def is_mfa(
 def mfa_witness(
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MFA_STEPS,
-    scheduler: SchedulerSpec = None,
-    workers: Optional[int] = None,
     budget: Optional[Budget] = None,
 ) -> Optional[SkolemTerm]:
     """The first cyclic Skolem term, or ``None`` when Σ is MFA."""
@@ -292,7 +264,6 @@ def mfa_witness(
     if not rules:
         return None
     _, cyclic, _ = skolem_chase(
-        critical_instance(rules), rules, max_steps,
-        scheduler=scheduler, workers=workers, budget=budget,
+        critical_instance(rules), rules, max_steps, budget=budget,
     )
     return cyclic

@@ -19,6 +19,7 @@ from ..graphs import (
     is_weakly_acyclic,
 )
 from ..model import TGD
+from ..runtime.budget import Budget
 from .decider import decide_termination
 from .mfa import is_mfa
 from .verdict import TerminationVerdict
@@ -81,12 +82,22 @@ class TerminationReport:
 def termination_report(
     rules: Sequence[TGD],
     mfa_budget: int = 20_000,
+    standard: bool = False,
+    allow_oracle: bool = False,
+    order_policy: str = "cost",
+    budget: Optional[Budget] = None,
 ) -> TerminationReport:
     """Build a :class:`TerminationReport` for ``rules``.
 
     The exact verdicts are ``None`` when the rules fall outside the
-    guarded classes (undecidable territory); the zoo conditions are
-    always computed (MFA may be ``None`` on budget exhaustion).
+    guarded classes (undecidable territory) and no procedure applies;
+    the zoo conditions are always computed (MFA is ``None`` when the
+    Skolem chase exceeds ``mfa_budget`` facts).  ``standard``,
+    ``allow_oracle`` and ``order_policy`` are passed to both
+    :func:`~repro.termination.decider.decide_termination` calls.
+    ``budget`` governs the whole report — the MFA check and both
+    verdicts — and a tripped budget raises
+    :class:`~repro.errors.BudgetExceededError`.
     """
     rules = list(rules)
     conditions: Dict[str, Optional[bool]] = {
@@ -95,13 +106,19 @@ def termination_report(
         "joint_acyclicity": is_jointly_acyclic(rules),
     }
     try:
-        conditions["mfa"] = is_mfa(rules, max_steps=mfa_budget)
+        conditions["mfa"] = is_mfa(rules, max_steps=mfa_budget, budget=budget)
     except Exception:
+        if budget is not None and budget.stop_reason is not None:
+            raise
         conditions["mfa"] = None
     verdicts = {}
     for variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS):
         try:
-            verdicts[variant] = decide_termination(rules, variant=variant)
+            verdicts[variant] = decide_termination(
+                rules, variant=variant, standard=standard,
+                allow_oracle=allow_oracle, order_policy=order_policy,
+                budget=budget,
+            )
         except UnsupportedClassError:
             verdicts[variant] = None
     return TerminationReport(

@@ -51,7 +51,6 @@ from ..chase.critical import (
     ZERO_CONSTANT,
     ZERO_PREDICATE,
 )
-from ..chase.scheduler import SchedulerSpec, resolve_scheduler
 from ..errors import BudgetExceededError, UnsupportedClassError
 from ..model import (
     Constant,
@@ -170,8 +169,6 @@ class TypeAnalysis:
         database: Optional[Instance] = None,
         pattern_engine: str = "indexed",
         order_policy: str = "cost",
-        scheduler: SchedulerSpec = None,
-        workers: Optional[int] = None,
         budget=None,
     ):
         """Analyse ``rules`` over the critical instance (default), the
@@ -185,17 +182,7 @@ class TypeAnalysis:
         join ordering for the ``indexed`` engine
         (:data:`repro.query.planner.ORDER_POLICIES`; ``cost`` plans
         from the cloud's columnar statistics, ``heuristic`` is the
-        retained PR 1 ordering — assignment sets are identical).
-
-        ``scheduler`` / ``workers`` batch the body-vs-cloud joins of
-        each saturation iteration across rules
-        (:mod:`repro.chase.scheduler`): the joins of one iteration all
-        read the same immutable cloud snapshot, so they are executor-
-        independent, and their results are applied serially in rule
-        order — the saturated table, discovered types, and edge order
-        are identical under every executor.  Call :meth:`close` (or
-        use ``decide_guarded``, which does) to release pools created
-        here."""
+        retained PR 1 ordering — assignment sets are identical)."""
         rules = list(rules)
         validate_program(rules)
         for rule in rules:
@@ -266,17 +253,6 @@ class TypeAnalysis:
         self._parents: Dict[BagType, Set[BagType]] = {}
         self._dirty: Set[BagType] = set()
         self._saturated = False
-        # The scheduler (and its worker pool) is resolved *last*: every
-        # validation above may raise, and a pool spawned before a raise
-        # would be stranded — the caller never gets an object to close.
-        self._scheduler, self._owns_scheduler = resolve_scheduler(
-            scheduler, workers
-        )
-
-    def close(self) -> None:
-        """Release any executor pools this analysis created."""
-        if self._owns_scheduler:
-            self._scheduler.close()
 
     # -- construction ---------------------------------------------------
 
@@ -370,41 +346,15 @@ class TypeAnalysis:
         cloud: FrozenSet[AtomPattern],
     ) -> List[List[Dict[Variable, int]]]:
         """Body-vs-cloud assignments for each listed rule, in listing
-        order — one batched join pass over an immutable cloud.
-
-        The joins are pure reads of the snapshot, so the configured
-        scheduler may run them in any interleaving; results are
-        returned (and applied by the callers) in rule order, keeping
-        saturation byte-identical across executors.
-        """
+        order — one join pass over an immutable cloud."""
         self.pattern_joins += len(indexed_rules)
-        scheduler = self._scheduler
-        if scheduler.kind == "process" and len(indexed_rules) > 1:
-            payloads = [
-                (
-                    [rule.body for _, rule in chunk],
-                    cloud,
-                    self.constant_class,
-                    self.pattern_engine,
-                    self.order_policy,
-                )
-                for chunk in _chunk_rules(
-                    list(indexed_rules), scheduler.workers
-                )
-            ]
-            out: List[List[Dict[Variable, int]]] = []
-            for chunk_result in scheduler.map(
-                _pattern_join_remote, payloads
-            ):
-                out.extend(chunk_result)
-            return out
         snapshot = self._snapshot(cloud)
         homs = self._pattern_homs
         constant_class = self.constant_class
-        return scheduler.map(
-            lambda pair: list(homs(pair[1].body, snapshot, constant_class)),
-            list(indexed_rules),
-        )
+        return [
+            list(homs(rule.body, snapshot, constant_class))
+            for _, rule in indexed_rules
+        ]
 
     def _saturate_one(self, bag_type: BagType) -> FrozenSet[AtomPattern]:
         """One saturation pass for a single type, against the current
@@ -419,9 +369,7 @@ class TypeAnalysis:
             # made while assignments are applied become visible next
             # iteration, never mid-enumeration) — and only the rules
             # whose body predicates gained atoms since their last join.
-            # The joins read only that snapshot, so the scheduler may
-            # batch them; the apply pass below stays serial in
-            # rule-major assignment order.
+            # The apply pass below runs in rule-major assignment order.
             counts = Counter(pred for pred, _ in cloud)
             stale: List[Tuple[int, TGD]] = []
             for rule_index, rule in enumerate(self.rules):
@@ -615,44 +563,3 @@ def _child_key(
         rule_index,
         tuple(assignment[v] for v in rule.body_variables_sorted),
     )
-
-
-# -- process-executor plumbing ---------------------------------------------
-
-
-def _chunk_rules(
-    indexed_rules: List[Tuple[int, TGD]], chunks: int
-) -> List[List[Tuple[int, TGD]]]:
-    """Contiguous, order-preserving near-equal runs of rules."""
-    chunks = max(1, min(chunks, len(indexed_rules)))
-    size, extra = divmod(len(indexed_rules), chunks)
-    out: List[List[Tuple[int, TGD]]] = []
-    start = 0
-    for i in range(chunks):
-        stop = start + size + (1 if i < extra else 0)
-        out.append(indexed_rules[start:stop])
-        start = stop
-    return out
-
-
-def _pattern_join_remote(payload) -> List[List[Dict[Variable, int]]]:
-    """Worker-side pattern joins for one chunk of rule bodies.
-
-    Module-level for picklability.  The cloud ships as its raw
-    frozenset (patterns are ``(Predicate, class-tuple)`` pairs, which
-    re-intern on arrival); the worker builds its own class index, which
-    amortizes over the whole chunk.
-    """
-    bodies, cloud, constant_class, engine, order_policy = payload
-    if engine == "indexed":
-        snapshot = PatternCloud(cloud)
-        return [
-            list(pattern_homomorphisms(
-                body, snapshot, constant_class, policy=order_policy
-            ))
-            for body in bodies
-        ]
-    return [
-        list(naive_pattern_homomorphisms(body, cloud, constant_class))
-        for body in bodies
-    ]

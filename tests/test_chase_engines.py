@@ -179,6 +179,43 @@ class TestVariantRelations:
         assert len(restricted.instance) == 1
 
 
+class TestRestrictedHeadCheck:
+    """A restricted trigger's head is checked at its own turn in the
+    round, against every fact fired before it — including facts fired
+    earlier in the same round."""
+
+    def test_head_satisfied_earlier_in_the_round_is_skipped(self):
+        # Round 1 discovers both rules' triggers on p(a) and p(b).  The
+        # full rule comes first, so by the existential trigger's turn
+        # q(a, a) already satisfies exists Y . q(a, Y).
+        rules = parse_program(
+            "p(X) -> q(X, X)\np(X) -> exists Y . q(X, Y)"
+        )
+        db = parse_database("p(a)\np(b)")
+        restricted = restricted_chase(db, rules)
+        assert restricted.terminated
+        assert restricted.step_count == 2
+        assert restricted.instance.facts() == (
+            atom("p", "a"), atom("p", "b"),
+            atom("q", "a", "a"), atom("q", "b", "b"),
+        )
+        assert semi_oblivious_chase(db, rules).step_count == 4
+
+    def test_head_unsatisfied_at_its_turn_fires(self):
+        # Reversed rule order: the existential triggers come first and
+        # nothing satisfies their heads yet; the full rule's q(a, a) is
+        # not implied by q(a, z1), so every trigger fires.
+        rules = parse_program(
+            "p(X) -> exists Y . q(X, Y)\np(X) -> q(X, X)"
+        )
+        db = parse_database("p(a)\np(b)")
+        restricted = restricted_chase(db, rules)
+        assert restricted.terminated
+        assert restricted.step_count == 4
+        assert restricted.instance.facts() == \
+            semi_oblivious_chase(db, rules).instance.facts()
+
+
 class TestFairnessAndDeterminism:
     def test_deterministic_across_runs(self):
         db = parse_database("person(bob)")

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import repro
-from repro.cli import COMMANDS, build_parser, main
+from repro.cli import COMMANDS, EXIT_CODES, build_parser, main
+from repro.parser.printer import program_to_text
+from repro.runtime import STOP_REASONS
+from repro.workloads.families import guarded_tower_family
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 CLI_DOC = os.path.join(os.path.dirname(SRC), "docs", "CLI.md")
@@ -68,6 +71,49 @@ class TestCheck:
             ["check", terminating_rules_file, "--standard",
              "--variant", "so"]
         ) == 0
+
+
+class TestCheckFull:
+    """``check --full`` honours the same flags as ``check``: one budget
+    governs the whole report."""
+
+    @pytest.fixture
+    def tower_file(self, tmp_path):
+        path = tmp_path / "tower.tgd"
+        path.write_text(program_to_text(guarded_tower_family(3)))
+        return str(path)
+
+    def test_nan_timeout_is_a_usage_error(self, rules_file, capsys):
+        assert main(["check", rules_file, "--timeout", "nan"]) == 2
+        assert main(
+            ["check", rules_file, "--full", "--timeout", "nan"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: timeout_s must be positive") == 2
+
+    def test_max_rounds_stops_the_report(self, tower_file, capsys):
+        assert main(["check", tower_file, "--max-rounds", "1"]) == 1
+        plain = capsys.readouterr()
+        assert plain.err.startswith("% budget exhausted")
+        assert main(
+            ["check", tower_file, "--full", "--max-rounds", "1"]
+        ) == 1
+        full = capsys.readouterr()
+        assert full.out == ""
+        assert full.err.startswith("% budget exhausted")
+
+    def test_allow_oracle_decides_unguarded_rules(self, tmp_path, capsys):
+        path = tmp_path / "join.tgd"
+        path.write_text("e(X, Y), f(Y, Z) -> exists W . g(X, W)\n")
+        assert main(["check", str(path), "--allow-oracle"]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), "--full", "--allow-oracle"]) == 0
+        out = capsys.readouterr().out
+        assert "undecided" not in out
+        assert (
+            "semi_oblivious: terminates on every database "
+            "[critical_chase_oracle]" in out
+        )
 
 
 class TestChase:
@@ -253,6 +299,31 @@ class TestErrors:
                 in capsys.readouterr().err)
 
 
+class TestSerialOnly:
+    """Rounds run on one serial path: the executor flags, the worker
+    fault directives and the degraded-executor stop reason are gone."""
+
+    @pytest.mark.parametrize("command", ["check", "chase", "query", "serve"])
+    def test_workers_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "rules.tgd", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    def test_worker_crash_directive_is_unknown(
+        self, rules_file, db_file, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", "crash:1")
+        argv = ["chase", rules_file, db_file, "--max-memory-mb", "512"]
+        assert main(argv) == 2
+        assert ("error: unknown REPRO_FAULTS directive 'crash:1'"
+                in capsys.readouterr().err)
+
+    def test_no_executor_degraded_stop_reason(self):
+        assert "executor_degraded" not in STOP_REASONS
+        assert "executor_degraded" not in EXIT_CODES
+
+
 @pytest.fixture
 def argparse_calls(monkeypatch):
     """Count the argparse parsers built and record every
@@ -335,9 +406,9 @@ class TestPerCommandParser:
         self, terminating_rules_file, argparse_calls, capsys
     ):
         assert main(["check", terminating_rules_file]) == 0
-        # The top level and ``check``; all nine commands are 10 and 77.
+        # The top level and ``check``; all nine commands are 10 and 69.
         assert argparse_calls["parsers"] == 2
-        assert len(argparse_calls["arguments"]) == 13
+        assert len(argparse_calls["arguments"]) == 11
 
     def test_python_m_repro_reads_sys_argv(self, capsys):
         env = dict(os.environ, PYTHONPATH=SRC)

@@ -30,6 +30,7 @@ from repro.model import (
     Constant,
     Instance,
     Predicate,
+    TGD,
     Variable,
     naive_homomorphisms,
 )
@@ -160,6 +161,73 @@ class TestDeltaEngine:
         # Nothing notified: the engine has no frontier left.
         assert engine.pending_facts() == 0
         assert engine.next_round() == []
+
+
+class TestDiscoveryOrder:
+    """One canonical order — rule-major, then pivot position, then
+    frontier arrival order — fixes the trigger stream and hence null
+    numbering.  Arrival order deliberately disagrees with name order
+    here (a2 before a1, b1 before b0)."""
+
+    RULES = "p(X), q(Y) -> r(X, Y)\nq(X) -> s(X)"
+
+    @staticmethod
+    def instance():
+        return Instance([atom("q", "b1"), atom("p", "a2"),
+                         atom("p", "a1"), atom("q", "b0")])
+
+    @staticmethod
+    def shown(trigger):
+        assignment = trigger.assignment
+        return (trigger.rule_index,
+                tuple(str(assignment[v]) for v in sorted(assignment, key=str)))
+
+    def test_delta_triggers_stream_is_rule_major_then_pivot(self):
+        instance = self.instance()
+        stream = delta_module.delta_triggers(
+            parse_program(self.RULES), instance, list(range(len(instance)))
+        )
+        assert [self.shown(t) for t in stream] == [
+            # rule 0, pivot p(X): p facts in arrival order
+            (0, ("a2", "b1")), (0, ("a2", "b0")),
+            (0, ("a1", "b1")), (0, ("a1", "b0")),
+            # rule 0, pivot q(Y): the same matches, q-major
+            (0, ("a2", "b1")), (0, ("a1", "b1")),
+            (0, ("a2", "b0")), (0, ("a1", "b0")),
+            # rule 1
+            (1, ("b1",)), (1, ("b0",)),
+        ]
+
+    def test_round_keeps_each_trigger_at_its_first_discovery(self):
+        engine = DeltaEngine(
+            parse_program(self.RULES), self.instance(),
+            key=lambda t: t.key(ChaseVariant.OBLIVIOUS),
+        )
+        assert [self.shown(t) for t in engine.next_round()] == [
+            (0, ("a2", "b1")), (0, ("a2", "b0")),
+            (0, ("a1", "b1")), (0, ("a1", "b0")),
+            (1, ("b1",)), (1, ("b0",)),
+        ]
+
+    @pytest.mark.parametrize("variant,expected", [
+        (ChaseVariant.OBLIVIOUS, [(0, ("a", "c"))]),
+        (ChaseVariant.SEMI_OBLIVIOUS, []),
+    ])
+    def test_atom_frontier_shares_the_fired_keys(self, variant, expected):
+        # An Atom frontier that is not in the instance (the public
+        # notify() surface) must be keyed like every ordinal frontier:
+        # under the semi-oblivious key p(a, c) maps to the fired
+        # frontier image X=a, so nothing new is handed out.
+        p = Predicate("p", 2)
+        rules = [TGD([Atom(p, [Variable("X"), Variable("Y")])],
+                     [Atom(Predicate("r", 2),
+                           [Variable("X"), Variable("Z")])])]
+        instance = Instance([Atom(p, [Constant("a"), Constant("b")])])
+        engine = DeltaEngine(rules, instance,
+                             key=lambda t: t.key(variant), variant=variant)
+        assert len(engine.next_round()) == 1
+        engine.notify([Atom(p, [Constant("a"), Constant("c")])])
+        assert [self.shown(t) for t in engine.next_round()] == expected
 
 
 # -- the mid-enumeration mutation regression -------------------------------

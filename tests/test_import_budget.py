@@ -78,6 +78,9 @@ _COMMANDS_SCRIPT = textwrap.dedent("""
         run("query", rules, db, sys.argv[2], "--certain"),
     ]
     report["after_defaults"] = sorted(sys.modules)
+    report["wcoj"] = run("query", rules, db, sys.argv[2],
+                         "--kernel", "wcoj")
+    report["after_wcoj"] = sorted(sys.modules)
     report["vector"] = run("query", rules, db, sys.argv[2],
                            "--kernel", "vector")
     report["after_vector"] = sorted(sys.modules)
@@ -116,6 +119,15 @@ def test_default_commands_import_nothing_more(report):
     assert codes == [1, 0, 1, 0, 0, 0]
     added = set(report["after_defaults"]) - set(report["start_up"])
     assert not {m for m in added if m.split(".")[0] in ("repro", "numpy")}
+
+
+def test_wcoj_kernel_loads_no_numpy(report):
+    tuple_code, tuple_out = report["runs"][4]
+    wcoj_code, wcoj_out = report["wcoj"]
+    # The leapfrog kernel emits answers in its own (sorted) order.
+    assert wcoj_code == tuple_code
+    assert sorted(wcoj_out.splitlines()) == sorted(tuple_out.splitlines())
+    assert "numpy" not in report["after_wcoj"]
 
 
 def test_vector_kernel_loads_numpy_and_agrees(report):

@@ -367,53 +367,6 @@ class TestChaseCostPlanner:
         with pytest.raises(ValueError):
             run_chase(db, [], planner="nope")
 
-    @pytest.mark.parametrize("kind", ["threaded", "process"])
-    def test_cost_planner_is_executor_independent(self, kind):
-        # The order policy ships to process-executor mirrors with the
-        # init payload; a cost-planned batched run must stay
-        # byte-identical to the cost-planned serial run (regression:
-        # mirrors used to fall back to heuristic ordering, permuting
-        # within-batch trigger order and null numbering).
-        from repro.chase import RoundScheduler
-
-        p, q, r, s, out = (Predicate("p", 1), Predicate("q", 2),
-                           Predicate("r", 2), Predicate("s", 2),
-                           Predicate("out", 4))
-        W = Variable("W")
-        S = Variable("S")
-        # Two stages so the second round's discovery runs through
-        # already-synced worker mirrors (round 1 resyncs locally).  A
-        # single q row makes the cost planner start each rest-of-body
-        # join from q (estimate 1, though disconnected from the pivot)
-        # where the heuristic starts from the connected r — the two
-        # policies genuinely order differently on this shape, so a
-        # mirror planning with the wrong policy permutes null numbers.
-        rules = [
-            TGD([Atom(p, [X]), Atom(q, [Y, Constant("k")]),
-                 Atom(r, [X, Z])],
-                [Atom(s, [X, W])]),
-            TGD([Atom(s, [X, S]), Atom(q, [Y, Constant("k")]),
-                 Atom(r, [X, Z])],
-                [Atom(out, [S, Y, Z, W])]),
-        ]
-        db = Database()
-        # Two q rows: swapping the join nesting transposes the (Y, Z)
-        # emission order, so a wrong-policy mirror renumbers nulls.
-        db.add(Atom(q, [Constant("y0"), Constant("k")]))
-        db.add(Atom(q, [Constant("y1"), Constant("k")]))
-        for i in range(4):
-            db.add(Atom(p, [Constant(f"x{i}")]))
-            for j in range(3):
-                db.add(Atom(r, [Constant(f"x{i}"), Constant(f"z{j}")]))
-        serial = run_chase(db, rules, ChaseVariant.OBLIVIOUS,
-                           max_steps=500, planner="cost")
-        with RoundScheduler(kind, workers=2) as sched:
-            batched = run_chase(db, rules, ChaseVariant.OBLIVIOUS,
-                                max_steps=500, planner="cost",
-                                scheduler=sched)
-        assert batched.instance.facts() == serial.instance.facts()
-        assert batched.step_count == serial.step_count
-
 
 class TestQueryPolicyAgreement:
     def test_handwritten_join_all_policies(self):

@@ -1,30 +1,29 @@
 """Runtime governance under injected faults.
 
-The contracts under test (see :mod:`repro.runtime` and
-:mod:`repro.chase.scheduler`):
+The contracts under test (see :mod:`repro.runtime`):
 
-* a crashed worker pool is respawned (once) and the run finishes with
-  a result byte-identical to a serial run;
-* a pool that keeps dying degrades the scheduler to in-parent serial
-  evaluation — the run still finishes, still byte-identical, and the
-  degradation is recorded in ``fault_stats`` / ``ChaseResult.resource``;
 * budget stops (deadline, memory ceiling, cancellation, round/fact
   caps) are round-consistent: the partial instance equals the database
   plus exactly the facts of the recorded steps, and ``stop_reason``
   names the limit that tripped;
-* cancellation is honored by all three executors;
 * the budget-raising surfaces (MFA, saturation, compiled queries)
   raise :class:`BudgetExceededError` carrying the structured reason.
 
-Fault plans travel via the ``REPRO_FAULTS`` environment variable so
-spawned workers see them (:mod:`repro.runtime.faults`).
+Fault plans travel via the ``REPRO_FAULTS`` environment variable
+(:mod:`repro.runtime.faults`).
 """
 
 import pytest
 
-from repro.chase import ChaseVariant, RoundScheduler, run_chase
+from repro.chase import (
+    ChaseSession,
+    ChaseVariant,
+    critical_instance,
+    resume_chase,
+    run_chase,
+)
 from repro.errors import BudgetExceededError
-from repro.parser import parse_database, parse_program
+from repro.parser import parse_database, parse_fact, parse_program
 from repro.runtime import Budget, CancelToken
 from repro.runtime.faults import ENV_VAR
 from repro.termination import decide_guarded, is_mfa, skolem_chase
@@ -32,22 +31,9 @@ from repro.termination import decide_guarded, is_mfa, skolem_chase
 DIVERGING = "person(X) -> exists Y . father(X, Y), person(Y)"
 DIVERGING_DB = "person(bob)"
 
-# Terminating fixture with enough rounds/triggers that the process
-# executor ships several batches (so injected crashes actually land in
-# workers).
+# Terminating fixture that needs several rounds.
 CLOSURE = "e(X, Y), e(Y, Z) -> e(X, Z)"
 CLOSURE_DB = "\n".join(f"e(c{i}, c{i + 1})" for i in range(12))
-
-
-def chase_fingerprint(result):
-    """Everything a byte-equivalence claim is made of."""
-    return (
-        result.instance.facts(),
-        result.terminated,
-        [step.trigger.key(result.variant) for step in result.steps],
-        [step.new_facts for step in result.steps],
-        result.facts_by_rule(),
-    )
 
 
 def assert_round_consistent(result, database):
@@ -71,6 +57,12 @@ def fake_clock(step=1.0):
     return clock
 
 
+def cancelled():
+    token = CancelToken()
+    token.cancel()
+    return token
+
+
 @pytest.fixture
 def closure():
     return parse_program(CLOSURE), parse_database(CLOSURE_DB)
@@ -79,79 +71,6 @@ def closure():
 @pytest.fixture
 def diverging():
     return parse_program(DIVERGING), parse_database(DIVERGING_DB)
-
-
-class TestWorkerCrashRecovery:
-    def test_single_crash_respawns_and_matches_serial(
-        self, closure, tmp_path, monkeypatch
-    ):
-        rules, database = closure
-        serial = run_chase(database, rules, ChaseVariant.OBLIVIOUS, 10_000)
-        # One global crash token: the first worker batch dies, the
-        # respawned pool finds the token claimed and completes.
-        monkeypatch.setenv(ENV_VAR, f"crash:1:{tmp_path}")
-        scheduler = RoundScheduler("process", workers=2)
-        try:
-            crashed = run_chase(
-                database, rules, ChaseVariant.OBLIVIOUS, 10_000,
-                scheduler=scheduler,
-            )
-        finally:
-            scheduler.close()
-        assert chase_fingerprint(crashed) == chase_fingerprint(serial)
-        assert crashed.terminated
-        assert crashed.stop_reason == "fixpoint"
-        assert scheduler.fault_stats["pool_failures"] >= 1
-        assert scheduler.fault_stats["pool_respawns"] == 1
-        assert not scheduler.degraded
-        # One token file was actually claimed.
-        assert (tmp_path / "crash-0").exists()
-
-    def test_persistent_crashes_degrade_to_serial(
-        self, closure, tmp_path, monkeypatch
-    ):
-        rules, database = closure
-        serial = run_chase(database, rules, ChaseVariant.OBLIVIOUS, 10_000)
-        # More tokens than the respawn budget: the pool dies, the
-        # respawn dies too, and the scheduler degrades — the run must
-        # still finish, in-parent, with the identical result.
-        monkeypatch.setenv(ENV_VAR, f"crash:500:{tmp_path}")
-        scheduler = RoundScheduler("process", workers=2)
-        try:
-            degraded = run_chase(
-                database, rules, ChaseVariant.OBLIVIOUS, 10_000,
-                scheduler=scheduler,
-            )
-        finally:
-            scheduler.close()
-        assert chase_fingerprint(degraded) == chase_fingerprint(serial)
-        assert degraded.terminated
-        assert scheduler.degraded
-        assert scheduler.fault_stats["degraded"] == 1
-        assert scheduler.fault_stats["pool_failures"] >= 2
-        assert scheduler.ship_stats["degraded"] == 1
-        # The degradation is visible on the result's resource report.
-        executor = degraded.resource.get("executor")
-        assert executor is not None
-        assert executor["degraded"] == 1
-
-    def test_degraded_scheduler_stays_serial(self, closure, monkeypatch):
-        rules, database = closure
-        # No token dir and a huge per-process crash budget: a pool
-        # would never survive.  A pre-degraded scheduler must not spawn
-        # one at all (map() goes straight to in-parent evaluation).
-        monkeypatch.setenv(ENV_VAR, "crash:1000000")
-        scheduler = RoundScheduler("process", workers=2)
-        scheduler.degraded = True
-        try:
-            result = run_chase(
-                database, rules, ChaseVariant.OBLIVIOUS, 10_000,
-                scheduler=scheduler,
-            )
-        finally:
-            scheduler.close()
-        serial = run_chase(database, rules, ChaseVariant.OBLIVIOUS, 10_000)
-        assert chase_fingerprint(result) == chase_fingerprint(serial)
 
 
 class TestBudgetStops:
@@ -218,24 +137,14 @@ class TestBudgetStops:
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("kind", ["serial", "threaded", "process"])
-    def test_pre_cancelled_budget_stops_every_executor(
-        self, diverging, kind
-    ):
+    def test_pre_cancelled_budget_stops_the_run(self, diverging):
         rules, database = diverging
         token = CancelToken()
         token.cancel()
-        scheduler = (
-            RoundScheduler(kind, workers=2) if kind != "serial" else "serial"
+        result = run_chase(
+            database, rules, ChaseVariant.SEMI_OBLIVIOUS, 1_000_000,
+            budget=Budget(cancel=token),
         )
-        try:
-            result = run_chase(
-                database, rules, ChaseVariant.SEMI_OBLIVIOUS, 1_000_000,
-                scheduler=scheduler, budget=Budget(cancel=token),
-            )
-        finally:
-            if kind != "serial":
-                scheduler.close()
         assert result.stop_reason == "cancelled"
         assert not result.terminated
         assert result.step_count == 0
@@ -265,6 +174,56 @@ class TestCancellation:
         assert result.step_count >= 1
         assert_round_consistent(result, database)
 
+
+    def test_pre_cancelled_resume_stops_at_the_checkpoint(
+        self, diverging, tmp_path
+    ):
+        rules, database = diverging
+        path = str(tmp_path / "store")
+        part = run_chase(database, rules, ChaseVariant.SEMI_OBLIVIOUS,
+                         max_steps=5, save=path)
+        result = resume_chase(path, max_steps=1_000,
+                              budget=Budget(cancel=cancelled()))
+        assert result.stop_reason == "cancelled"
+        assert result.step_count == part.step_count
+        assert result.instance.facts() == part.instance.facts()
+
+    def test_pre_cancelled_extend_ingests_but_fires_nothing(self, closure):
+        rules, database = closure
+        session = ChaseSession.start(database, rules)
+        before, steps = len(session.instance), session.result.step_count
+        result = session.extend([parse_fact("e(c12, c13)")],
+                                budget=Budget(cancel=cancelled()))
+        assert result.stop_reason == "cancelled"
+        assert not session.terminated
+        # The delta row is in; its consequences wait for the next leg.
+        assert len(session.instance) == before + 1
+        assert result.step_count == steps
+        session.extend([])
+        assert session.terminated
+        assert len(session.instance) == 14 * 13 // 2
+
+    def test_pre_cancelled_skolem_chase_stops(self, diverging):
+        rules, _ = diverging
+        budget = Budget(cancel=cancelled())
+        instance, cyclic, fixpoint = skolem_chase(
+            critical_instance(rules), rules, budget=budget
+        )
+        assert cyclic is None and not fixpoint
+        assert budget.stop_reason == "cancelled"
+
+    def test_pre_cancelled_is_mfa_raises(self, diverging):
+        rules, _ = diverging
+        with pytest.raises(BudgetExceededError) as info:
+            is_mfa(rules, budget=Budget(cancel=cancelled()))
+        assert info.value.stop_reason == "cancelled"
+
+    def test_pre_cancelled_decide_guarded_raises(self, diverging):
+        rules, _ = diverging
+        with pytest.raises(BudgetExceededError) as info:
+            decide_guarded(rules, ChaseVariant.SEMI_OBLIVIOUS,
+                           budget=Budget(cancel=cancelled()))
+        assert info.value.stop_reason == "cancelled"
 
 class TestRaisingSurfaces:
     def test_skolem_chase_stops_on_budget(self, closure):
@@ -327,18 +286,17 @@ class TestRaisingSurfaces:
             Budget(**{limit: float("nan")})
 
 
-class TestSlowFault:
-    def test_slow_batches_still_identical(self, closure, monkeypatch):
-        rules, database = closure
-        serial = run_chase(database, rules, ChaseVariant.OBLIVIOUS, 10_000)
-        monkeypatch.setenv(ENV_VAR, "slow:0.01")
-        scheduler = RoundScheduler("process", workers=2)
-        try:
-            slowed = run_chase(
-                database, rules, ChaseVariant.OBLIVIOUS, 10_000,
-                scheduler=scheduler,
+class TestFaultPlan:
+    @pytest.mark.parametrize("directive", ["crash:1", "slow:0.01"])
+    def test_worker_directives_are_unknown(self, diverging, monkeypatch,
+                                           directive):
+        # The round-executor directives went with the executors; a
+        # plan naming one is refused rather than silently ignored.
+        rules, database = diverging
+        monkeypatch.setenv(ENV_VAR, directive)
+        with pytest.raises(ValueError,
+                           match=f"unknown {ENV_VAR} directive"):
+            run_chase(
+                database, rules, ChaseVariant.SEMI_OBLIVIOUS, 10,
+                budget=Budget(max_memory_mb=512.0, memory_check_every=1),
             )
-        finally:
-            scheduler.close()
-        assert chase_fingerprint(slowed) == chase_fingerprint(serial)
-        assert not scheduler.degraded

@@ -1,9 +1,9 @@
 """Durable fact stores: save/open equivalence, checkpoint/resume
-byte-identity, worker-mirror hydration, and the persistence CLI.
+byte-identity, and the persistence CLI.
 
 The contract under test is the strongest one the engine offers: a
-saved run, reopened and resumed — after any stop reason, on any
-executor, across any number of legs — must be *byte-identical* to the
+saved run, reopened and resumed — after any stop reason, across any
+number of legs — must be *byte-identical* to the
 uninterrupted in-memory run: same facts in the same order, same
 trigger keys, same provenance ordinals, same null numbering.
 """
@@ -15,7 +15,6 @@ import pytest
 
 from repro.chase import (
     ChaseVariant,
-    RoundScheduler,
     load_state,
     resume_chase,
     run_chase,
@@ -270,8 +269,7 @@ class TestCheckpointResume:
         assert res.terminated
         assert fingerprint(res) == fingerprint(ref)
 
-    @pytest.mark.parametrize("kind", ["serial", "threaded", "process"])
-    def test_resume_on_every_executor(self, kind, tmp_path):
+    def test_resume_long_chain_byte_identical(self, tmp_path):
         rules, db = chain_workload()
         ref = run_chase(db, rules, "semi_oblivious", max_steps=2000)
         assert ref.terminated
@@ -279,10 +277,7 @@ class TestCheckpointResume:
         part = run_chase(db, rules, "semi_oblivious", max_steps=40, save=path)
         assert not part.terminated
 
-        res = resume_chase(
-            path, max_steps=2000, scheduler=kind,
-            workers=2 if kind != "serial" else None,
-        )
+        res = resume_chase(path, max_steps=2000)
         assert res.terminated
         assert fingerprint(res) == fingerprint(ref)
 
@@ -332,30 +327,6 @@ class TestCheckpointResume:
         # The copy lands on the in-memory backend with identical facts.
         assert type(clone.instance._store) is FactStore
         assert clone.instance.facts() == res.instance.facts()
-
-
-# -- worker-mirror hydration ------------------------------------------------
-
-
-class TestMirrorHydration:
-    def test_process_mirrors_hydrate_from_disk(self, tmp_path):
-        """Workers of a resumed run load the persisted prefix from the
-        store directory and are shipped only the post-reopen tail."""
-        rules, db = chain_workload()
-        ref = run_chase(db, rules, "semi_oblivious", max_steps=2000)
-        path = str(tmp_path / "store")
-        part = run_chase(db, rules, "semi_oblivious", max_steps=40, save=path)
-        assert not part.terminated
-
-        with RoundScheduler("process", workers=2) as sched:
-            res = resume_chase(path, max_steps=2000, scheduler=sched)
-            stats = dict(sched.ship_stats)
-        assert fingerprint(res) == fingerprint(ref)
-        assert stats["full_ships"] == 0
-        assert stats["store_base"] == len(part.instance)
-        # Shipping only post-reopen deltas undercuts the old
-        # pickle-the-whole-instance protocol.
-        assert stats["rows_shipped"] < stats["rows_old_protocol"]
 
 
 # -- CLI --------------------------------------------------------------------

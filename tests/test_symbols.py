@@ -3,13 +3,12 @@
 Covers the interned-core PR's foundations:
 
 * dense, deterministic id assignment and decode round-trips;
-* priming (the process executor's symbol-diff application) and sealed
-  tables (worker mirrors must never mint a parent-colliding id);
-* pickling across a ``spawn``-context process pool — the wire format
-  the delta-shipping protocol's init payload relies on;
+* priming (how a reopened durable store installs persisted ids);
+* pickling across a ``spawn``-context process pool — tables and terms
+  must survive a change of interpreter (and of hash seed);
 * the instance-level consequences: identical executions assign
-  identical ids, and mirrors rebuilt from flat int rows agree with the
-  parent fact-for-fact.
+  identical ids, and instances rebuilt from flat int rows agree with
+  the original fact-for-fact.
 """
 
 import pickle
@@ -59,12 +58,6 @@ class TestSymbolTable:
         table = SymbolTable([(Constant("a"), 5)])
         assert table.intern(Constant("b")) == 6
 
-    def test_sealed_table_allocates_negative_ids(self):
-        table = SymbolTable([(Constant("a"), 3)], sealed=True)
-        fresh = table.intern(Constant("unknown"))
-        assert fresh < 0
-        assert table.intern(Constant("a")) == 3
-
     def test_identical_executions_assign_identical_ids(self):
         def build():
             inst = Instance()
@@ -110,14 +103,6 @@ class TestSpawnPoolRoundTrip:
         assert fresh_id == len(terms)
         assert fresh_obj == probe
 
-    def test_sealed_table_round_trip_stays_sealed(self, pool):
-        table = SymbolTable([(Constant("a"), 11)], sealed=True)
-        items, fresh_id, fresh_obj = pool.submit(
-            _round_trip_remote, (table, Constant("w"))
-        ).result()
-        assert (Constant("a"), 11) in items
-        assert fresh_id < 0 and fresh_obj == Constant("w")
-
     def test_interned_constants_stay_canonical_through_table(self, pool):
         # The table composes with the term-level intern tables: a
         # pickled Constant routes through intern_constant on arrival.
@@ -139,9 +124,9 @@ class TestSpawnPoolRoundTrip:
 
 class TestInstanceIdSpace:
     def test_mirror_rebuilt_from_rows_agrees_with_parent(self):
-        # The delta-shipping invariant in miniature: rebuild an
-        # instance from (pred_id, row) pairs into a sealed-table mirror
-        # primed with the parent's symbols; ordinals and rows agree.
+        # Rebuild an instance from (pred_id, row) pairs into a table
+        # primed with the parent's symbols, as a reopened store does;
+        # ordinals and rows agree.
         parent = Instance()
         p = Predicate("p", 2)
         facts = [atom("p", "a", "b"), atom("p", "b", "c"),
@@ -149,13 +134,30 @@ class TestInstanceIdSpace:
         for fact in facts:
             parent.add(fact)
         pairs = parent.symbols.items()
-        mirror = Instance(symbols=SymbolTable(pairs, sealed=True))
-        mirror.prime_predicate(p, parent.pred_id(p))
+        mirror = Instance(symbols=SymbolTable(pairs))
+        mirror._store.prime_predicate(p, parent.pred_id(p))
         for ordinal in range(len(parent)):
             pid, row = parent.row_at(ordinal)
             assert mirror.add_row(pid, row) == ordinal
         assert mirror.facts() == parent.facts()
         assert len(mirror) == len(parent)
+
+    def test_prepare_rules_fixes_rule_symbol_ids(self):
+        # Rule symbols get ids before round 1, in rule-major, body-
+        # before-head, position order; symbols already present keep
+        # theirs and no fact is added.
+        from repro.parser import parse_program
+
+        inst = Instance([atom("p", "a")])
+        inst.prepare_rules(parse_program(
+            "q(X, k) -> exists Y . r(Y, m)\np(X), t(a) -> s(X, k)"
+        ))
+        assert len(inst) == 1
+        preds = [Predicate(name, arity) for name, arity in
+                 (("p", 1), ("q", 2), ("r", 2), ("t", 1), ("s", 2))]
+        assert [inst.pred_id_get(p) for p in preds] == [0, 1, 2, 3, 4]
+        terms = [Constant(name) for name in ("a", "k", "m")]
+        assert [inst.term_id_get(t) for t in terms] == [0, 1, 2]
 
     def test_copy_preserves_id_assignments(self):
         inst = Instance([atom("p", "a"), atom("q", "a", "b")])

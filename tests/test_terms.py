@@ -122,7 +122,7 @@ class TestKindPredicates:
         assert not is_ground(Variable("X"))
 
 
-# -- pickling and interning (the `process` round executor's contract) ------
+# -- pickling and interning (stores are read by other interpreters) -------
 #
 # Every term caches its hash; a cached hash is only meaningful under the
 # interpreter that computed it (string hashing is randomized per
