@@ -15,8 +15,7 @@ echo "== tier-1 tests without NumPy (pure-Python kernels) =="
 REPRO_NO_NUMPY=1 PYTHONPATH=src python -m pytest -x -q tests
 
 echo "== paper-experiment suite (E1-E11) =="
-PYTHONPATH=src python -m pytest -x -q benchmarks \
-    --ignore=benchmarks/test_perf_smoke.py
+PYTHONPATH=src python -m pytest -x -q benchmarks
 
 echo "== budget and cancellation suite =="
 PYTHONPATH=src python -m pytest -x -q tests/test_runtime_faults.py
@@ -30,15 +29,11 @@ PYTHONPATH=src python ci/check_serve.py
 echo "== crash-recovery chaos harness (WAL replay round trip) =="
 PYTHONPATH=src python ci/check_chaos.py
 
-echo "== bench harness smoke =="
-PYTHONPATH=src python -m pytest -x -q benchmarks/test_perf_smoke.py
-
 echo "== perfbench tests =="
 PYTHONPATH=src python -m pytest -x -q perfbench
 
-echo "== bench regression gate =="
-PYTHONPATH=src python benchmarks/bench_perf.py \
-    --scale 0.25 --check BENCH_chase.json
+echo "== in-process paired gates =="
+PYTHONPATH=src python benchmarks/paired_gates.py
 
 echo "== lint =="
 if command -v ruff >/dev/null 2>&1; then

@@ -52,7 +52,7 @@ from __future__ import annotations
 import os
 import pickle
 from array import array
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..model import Instance, TGD
 from ..storage.durable import (

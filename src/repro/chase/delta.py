@@ -322,7 +322,7 @@ class DeltaEngine:
         check_every = self.BUDGET_CHECK_EVERY
         # Countdown instead of a modulo per trigger: the governed arm
         # pays one decrement-and-test per discovery, which is what
-        # keeps the fault_recovery bench gate honest.
+        # keeps the governed paired gate honest.
         check_in = check_every if budget is not None else -1
         variant = self._variant
         try:

@@ -41,7 +41,7 @@ def entails_atom(
     cost-based planner (:mod:`repro.query.planner`); ``order_policy``
     selects the ordering policy (``"heuristic"`` is the retained PR 1
     ordering — same verdicts, kept selectable for the equivalence
-    cross-checks and the benchmark baseline).
+    cross-checks).
     """
     if not atom.is_ground():
         raise ValueError(f"entailment is defined for ground atoms, got {atom}")

@@ -24,9 +24,7 @@ from .homomorphism import (
 )
 from .instances import Database, Instance, union
 from .joinplan import (
-    AtomStep,
     JoinPlan,
-    atom_step,
     compile_plan,
     order_atoms,
     plan_for,
@@ -56,7 +54,6 @@ from .terms import (
 __all__ = [
     "Assignment",
     "Atom",
-    "AtomStep",
     "Constant",
     "Database",
     "Instance",
@@ -71,7 +68,6 @@ __all__ = [
     "Term",
     "Variable",
     "apply_assignment",
-    "atom_step",
     "atoms_predicates",
     "compile_plan",
     "has_homomorphism",

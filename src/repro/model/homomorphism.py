@@ -19,7 +19,7 @@ term-level index probes supplied by
 :class:`~repro.model.instances.Instance`.  The pre-index backtracking
 matcher is retained as :func:`naive_homomorphisms` — it enumerates the
 same assignments in the same order and serves as the reference
-implementation for the equivalence tests and the benchmark baseline.
+implementation for the equivalence tests.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def naive_homomorphisms(
     per matched atom — no term-level indexes, no in-place binding.  It
     uses the same join order as :func:`homomorphisms` and must yield
     exactly the same assignments in the same order; the property tests
-    and the benchmark harness both hold it to that.
+    hold it to that.
     """
     if not atoms:
         yield dict(partial or {})

@@ -37,10 +37,10 @@ the retained naive reference implementation, assignment-for-assignment.
 
 Resolution artifacts (steps, execs) are cached **per instance** (in
 ``Instance._plans``, capped) because constant ids are meaningless
-across id spaces; the symbolic :class:`JoinPlan`/:class:`AtomStep`
-objects keep their global caches and their public object-level
-contracts — they encode at entry and decode at yield, so existing
-callers see Variable→Term dicts exactly as before.
+across id spaces; the symbolic :class:`JoinPlan` keeps its global
+cache and its public object-level contract — it encodes at entry and
+decodes at yield, so existing callers see Variable→Term dicts exactly
+as before.
 """
 
 from __future__ import annotations
@@ -419,129 +419,6 @@ def resolve_exec(
 # -- the symbolic (object-level) surface -----------------------------------
 
 
-class AtomStep:
-    """One compiled body atom: matcher + index-probe menu.
-
-    The object-level building block retained for public callers and
-    the naive reference paths; the engines run :class:`ResolvedStep`
-    instead.  ``try_match`` is pure object logic; ``candidates``
-    probes the instance's int indexes and decodes the matching rows
-    back to Atoms.
-    """
-
-    __slots__ = ("atom", "predicate", "const_checks", "var_groups")
-
-    def __init__(self, atom: Atom):
-        self.atom = atom
-        self.predicate = atom.predicate
-        const_checks: List[Tuple[int, Term]] = []
-        positions_of: Dict[Variable, List[int]] = {}
-        order: List[Variable] = []
-        for position, term in enumerate(atom.terms):
-            if isinstance(term, Variable):
-                if term not in positions_of:
-                    positions_of[term] = []
-                    order.append(term)
-                positions_of[term].append(position)
-            else:
-                # Constants (and nulls embedded in patterns) match
-                # themselves.
-                const_checks.append((position, term))
-        self.const_checks: Tuple[Tuple[int, Term], ...] = tuple(const_checks)
-        self.var_groups: Tuple[Tuple[Variable, Tuple[int, ...]], ...] = tuple(
-            (var, tuple(positions_of[var])) for var in order
-        )
-
-    def variables(self) -> FrozenSet[Variable]:
-        return frozenset(var for var, _ in self.var_groups)
-
-    def candidates(self, instance: Instance, assignment: Assignment):
-        """Candidate facts for this step under ``assignment``.
-
-        A step whose variables are all bound determines a single ground
-        fact, so the search collapses to one O(1) membership probe.
-        Otherwise probes the most selective available index and decodes
-        the row list (bounded by its length now) back to Atoms.
-        """
-        for var, _ in self.var_groups:
-            if var not in assignment:
-                break
-        else:
-            fact = Atom(
-                self.predicate,
-                [
-                    assignment[t] if isinstance(t, Variable) else t
-                    for t in self.atom.terms
-                ],
-            )
-            return iter((fact,)) if fact in instance else iter(())
-        pid = instance.pred_id_get(self.predicate)
-        if pid is None:
-            return iter(())
-        tid_get = instance.term_id_get
-        best = instance.rows_of(pid)
-        for position, term in self.const_checks:
-            tid = tid_get(term)
-            rows = (
-                instance.probe_rows(pid, position, tid)
-                if tid is not None else _EMPTY_ROWS
-            )
-            if len(rows) < len(best):
-                best = rows
-        for var, positions in self.var_groups:
-            bound = assignment.get(var)
-            if bound is not None:
-                tid = tid_get(bound)
-                rows = (
-                    instance.probe_rows(pid, positions[0], tid)
-                    if tid is not None else _EMPTY_ROWS
-                )
-                if len(rows) < len(best):
-                    best = rows
-        member = instance.member_rows(pid)
-        atom_at = instance.atom_at
-        return iter(
-            [atom_at(member[row]) for row in best[: len(best)]]
-        )
-
-    def try_match(
-        self, fact: Atom, assignment: Assignment
-    ) -> Optional[Tuple[Variable, ...]]:
-        """Extend ``assignment`` in place so the step's atom maps onto
-        ``fact``.
-
-        Precondition: ``fact.predicate == self.predicate`` — callers
-        draw facts from a per-predicate row list and the check would be
-        pure overhead.
-
-        Returns the variables newly bound by this match (possibly
-        empty) or ``None`` on failure, in which case ``assignment`` is
-        left untouched.
-        """
-        terms = fact.terms
-        for position, term in self.const_checks:
-            if terms[position] != term:
-                return None
-        newly: List[Variable] = []
-        for var, positions in self.var_groups:
-            value = terms[positions[0]]
-            bound = assignment.get(var)
-            if bound is None:
-                ok = all(terms[p] == value for p in positions[1:])
-                if ok:
-                    assignment[var] = value
-                    newly.append(var)
-            else:
-                ok = bound == value and all(
-                    terms[p] == bound for p in positions[1:]
-                )
-            if not ok:
-                for v in newly:
-                    del assignment[v]
-                return None
-        return tuple(newly)
-
-
 class JoinPlan:
     """A compiled conjunction: ordered atoms ready for execution.
 
@@ -552,18 +429,13 @@ class JoinPlan:
     conjunction's *results* ever materialize as objects.
     """
 
-    __slots__ = ("atoms", "steps", "variables")
+    __slots__ = ("atoms", "variables")
 
-    def __init__(self, ordered_atoms: Sequence[Atom], cache_steps: bool = True):
+    def __init__(self, ordered_atoms: Sequence[Atom]):
         self.atoms: Tuple[Atom, ...] = tuple(ordered_atoms)
-        make = atom_step if cache_steps else AtomStep
-        self.steps: Tuple[AtomStep, ...] = tuple(
-            make(atom) for atom in self.atoms
+        self.variables: FrozenSet[Variable] = frozenset().union(
+            *(atom.variables() for atom in self.atoms)
         )
-        vars_: Set[Variable] = set()
-        for step in self.steps:
-            vars_ |= step.variables()
-        self.variables: FrozenSet[Variable] = frozenset(vars_)
 
     def run(
         self, instance: Instance, assignment: Assignment
@@ -630,20 +502,8 @@ def order_atoms(
 
 # -- caches ----------------------------------------------------------------
 
-_STEP_CACHE: Dict[Atom, AtomStep] = {}
 _PLAN_CACHE: Dict[Tuple[Atom, ...], JoinPlan] = {}
 _CACHE_CAP = 4096
-
-
-def atom_step(atom: Atom) -> AtomStep:
-    """The (cached) compiled object-level step for one atom."""
-    step = _STEP_CACHE.get(atom)
-    if step is None:
-        if len(_STEP_CACHE) >= _CACHE_CAP:
-            _STEP_CACHE.clear()
-        step = AtomStep(atom)
-        _STEP_CACHE[atom] = step
-    return step
 
 
 def compile_plan(ordered_atoms: Sequence[Atom]) -> JoinPlan:
@@ -652,7 +512,7 @@ def compile_plan(ordered_atoms: Sequence[Atom]) -> JoinPlan:
     plan = _PLAN_CACHE.get(key)
     if plan is None:
         if len(key) > _PLAN_ATOM_CAP:
-            return JoinPlan(key, cache_steps=False)
+            return JoinPlan(key)
         if len(_PLAN_CACHE) >= _CACHE_CAP:
             _PLAN_CACHE.clear()
         plan = JoinPlan(key)

@@ -17,7 +17,7 @@ The package splits transport from logic:
 * :class:`~repro.serve.server.ChaseServer` — a stdlib-only ``asyncio``
   HTTP/1.1 front end over a service;
   :class:`~repro.serve.server.BackgroundServer` runs one on a daemon
-  thread for tests, examples, and benchmarks.
+  thread for tests.
 
 * :class:`~repro.serve.admission.AdmissionController` — the overload
   gate: a service-wide concurrent-request bound plus a bounded

@@ -38,8 +38,8 @@ event loop from cheap attribute reads, so a fully saturated service
 still answers its probes.
 
 :class:`BackgroundServer` runs a server on a daemon thread with a
-ready/stop handshake — the shape tests, examples, and the benchmark
-harness use; the CLI's foreground path calls :meth:`ChaseServer.run`.
+ready/stop handshake — the shape the tests use; the CLI's foreground
+path calls :meth:`ChaseServer.run`.
 """
 
 from __future__ import annotations

@@ -208,7 +208,7 @@ def atom_to_pattern(
 # are rewritten to their constant-class terms.  The pre-index
 # backtracking scan is retained as
 # :func:`naive_pattern_homomorphisms`, the reference implementation
-# the equivalence tests and the benchmark baseline run against.
+# the equivalence tests run against.
 
 _CLASS_TERMS: List[Constant] = []
 
@@ -338,9 +338,9 @@ def naive_pattern_homomorphisms(
     constant_class: Dict[Constant, int],
 ) -> Iterable[Dict[Variable, int]]:
     """The pre-index backtracking pattern matcher, retained as the
-    reference implementation for equivalence tests and the benchmark
-    baseline.  Yields the same assignments as
-    :func:`pattern_homomorphisms` (possibly in a different order)."""
+    reference implementation for equivalence tests.  Yields the same
+    assignments as :func:`pattern_homomorphisms` (possibly in a
+    different order)."""
     if isinstance(cloud, PatternCloud):
         cloud = cloud.patterns
     by_predicate: Dict[Predicate, List[Tuple[int, ...]]] = {}

@@ -29,7 +29,6 @@ def decide_guarded(
     variant: str,
     standard: bool = False,
     max_types: int = DEFAULT_MAX_TYPES,
-    pattern_engine: str = "indexed",
     order_policy: str = "cost",
     budget=None,
 ) -> TerminationVerdict:
@@ -42,13 +41,8 @@ def decide_guarded(
     :class:`repro.runtime.budget.Budget`) trips — the verdict is then
     *unknown*; the error's ``stop_reason`` names the limit.
 
-    ``pattern_engine`` selects the body-vs-cloud join implementation
-    used by saturation (see
-    :data:`~repro.termination.saturation.PATTERN_ENGINES`); the default
-    compiled class-indexed plans and the retained ``"naive"`` scan
-    produce the same verdict — the latter exists for equivalence tests
-    and as the benchmark baseline.  ``order_policy`` selects the
-    planner's join ordering for the indexed engine
+    ``order_policy`` selects the join ordering of saturation's
+    class-indexed pattern joins
     (:data:`repro.query.planner.ORDER_POLICIES`).
     """
     rules = list(rules)
@@ -66,7 +60,6 @@ def decide_guarded(
         rules,
         standard=standard,
         max_types=max_types,
-        pattern_engine=pattern_engine,
         order_policy=order_policy,
         budget=budget,
     )

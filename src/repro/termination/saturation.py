@@ -67,17 +67,10 @@ from .abstraction import (
     BagType,
     PatternCloud,
     atom_to_pattern,
-    naive_pattern_homomorphisms,
     pattern_homomorphisms,
 )
 
 DEFAULT_MAX_TYPES = 20_000
-
-PATTERN_ENGINES = ("indexed", "naive")
-"""Pattern-join engines: ``indexed`` runs bodies through the compiled
-class-indexed join plans of :mod:`repro.termination.abstraction`;
-``naive`` is the retained backtracking scan, kept selectable for
-equivalence tests and as the benchmark baseline."""
 
 
 class ChildEdge:
@@ -167,7 +160,6 @@ class TypeAnalysis:
         standard: bool = False,
         max_types: int = DEFAULT_MAX_TYPES,
         database: Optional[Instance] = None,
-        pattern_engine: str = "indexed",
         order_policy: str = "cost",
         budget=None,
     ):
@@ -176,10 +168,9 @@ class TypeAnalysis:
         ``database`` root — the latter turns saturation into the
         guarded atom-entailment engine of :mod:`repro.entailment`.
 
-        ``pattern_engine`` selects how rule bodies are joined against
-        clouds (see :data:`PATTERN_ENGINES`); both engines compute the
-        same assignment sets.  ``order_policy`` selects the planner's
-        join ordering for the ``indexed`` engine
+        Rule bodies are joined against clouds through the compiled
+        class-indexed join plans of :mod:`repro.termination.abstraction`.
+        ``order_policy`` selects the planner's join ordering
         (:data:`repro.query.planner.ORDER_POLICIES`; ``cost`` plans
         from the cloud's columnar statistics, ``heuristic`` is the
         retained PR 1 ordering — assignment sets are identical)."""
@@ -192,28 +183,13 @@ class TypeAnalysis:
                 )
         if standard and database is not None:
             raise ValueError("standard and database roots are exclusive")
-        if pattern_engine not in PATTERN_ENGINES:
-            raise ValueError(
-                f"unknown pattern engine {pattern_engine!r}; "
-                f"expected one of {PATTERN_ENGINES}"
-            )
         self.rules = rules
         self.standard = standard
         self.database = database
         self.max_types = max_types
         if order_policy not in ("cost", "heuristic"):
             raise ValueError(f"unknown order policy {order_policy!r}")
-        self.pattern_engine = pattern_engine
         self.order_policy = order_policy
-        if pattern_engine == "indexed":
-            def _homs(body, snapshot, constant_class):
-                return pattern_homomorphisms(
-                    body, snapshot, constant_class, policy=order_policy
-                )
-
-            self._pattern_homs = _homs
-        else:
-            self._pattern_homs = naive_pattern_homomorphisms
         # How many body-vs-cloud joins saturation executed — surfaced
         # through TransitionGraph.stats() for certificates/benchmarks.
         self.pattern_joins = 0
@@ -332,14 +308,6 @@ class TypeAnalysis:
             self.table[bag_type] = bag_type.cloud
             self._dirty.add(bag_type)
 
-    def _snapshot(self, cloud: FrozenSet[AtomPattern]):
-        """The pattern-join input for the configured engine: the
-        class-indexed form for ``indexed``, the raw frozenset for
-        ``naive``."""
-        if self.pattern_engine == "indexed":
-            return PatternCloud(cloud)
-        return cloud
-
     def _joined_assignments(
         self,
         indexed_rules: Sequence[Tuple[int, TGD]],
@@ -348,11 +316,12 @@ class TypeAnalysis:
         """Body-vs-cloud assignments for each listed rule, in listing
         order — one join pass over an immutable cloud."""
         self.pattern_joins += len(indexed_rules)
-        snapshot = self._snapshot(cloud)
-        homs = self._pattern_homs
+        snapshot = PatternCloud(cloud)
         constant_class = self.constant_class
         return [
-            list(homs(rule.body, snapshot, constant_class))
+            list(pattern_homomorphisms(
+                rule.body, snapshot, constant_class, policy=self.order_policy
+            ))
             for _, rule in indexed_rules
         ]
 

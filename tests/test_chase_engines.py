@@ -9,9 +9,11 @@ from repro.chase import (
     run_chase,
     semi_oblivious_chase,
 )
+from repro.chase.triggers import Trigger, apply_trigger
 from repro.cq import is_model_of, is_universal_for
-from repro.model import Instance
-from repro.parser import parse_database, parse_program
+from repro.model import Instance, NullFactory, match_atom, naive_homomorphisms
+from repro.parser import instance_to_text, parse_database, parse_program
+from repro.workloads import guarded_tower_family
 from tests.conftest import atom
 
 
@@ -249,3 +251,133 @@ class TestFairnessAndDeterminism:
         assert [n.index for n in nulls] == list(
             range(1, len(nulls) + 1)
         )
+
+
+# -- the seed engine as a reference loop -----------------------------------
+
+
+def _seed_triggers(rules, instance, new_facts):
+    """Semi-naive discovery over the pre-index matcher: each new fact
+    pivots each body atom of its predicate, and the rest of the body
+    joins through ``naive_homomorphisms``."""
+    by_predicate = {}
+    for fact in new_facts:
+        by_predicate.setdefault(fact.predicate, []).append(fact)
+    for rule_index, rule in enumerate(rules):
+        for pivot, pivot_atom in enumerate(rule.body):
+            rest = [a for i, a in enumerate(rule.body) if i != pivot]
+            for fact in by_predicate.get(pivot_atom.predicate, ()):
+                partial = match_atom(pivot_atom, fact, {})
+                if partial is None:
+                    continue
+                for assignment in naive_homomorphisms(rest, instance, partial):
+                    yield Trigger(rule, rule_index, assignment)
+
+
+def _seed_head_satisfied(trigger, instance):
+    """The restricted chase's test through the naive matcher: does the
+    frontier image extend to a homomorphism of the head?"""
+    rule = trigger.rule
+    frontier = {v: trigger.assignment[v] for v in rule.frontier}
+    return next(naive_homomorphisms(rule.head, instance, frontier), None) is not None
+
+
+def seed_chase(database, rules, variant):
+    """The seed engine's round loop: discover a round's triggers from
+    the previous round's new facts, then fire them in order, skipping
+    fired keys (and, for the restricted chase, satisfied heads).
+    Returns ``(instance, steps)``; only for terminating inputs."""
+    instance = Instance(database)
+    factory = NullFactory()
+    fired = set()
+    steps = 0
+    frontier = list(instance)
+    while frontier:
+        round_triggers = list(_seed_triggers(rules, instance, frontier))
+        frontier = []
+        for trigger in round_triggers:
+            key = trigger.key(variant)
+            if key in fired:
+                continue
+            fired.add(key)
+            if variant == ChaseVariant.RESTRICTED and _seed_head_satisfied(
+                trigger, instance
+            ):
+                continue
+            frontier.extend(apply_trigger(trigger, instance, factory))
+            steps += 1
+    return instance, steps
+
+
+def _facts(lines):
+    return parse_database("\n".join(lines))
+
+
+def deep_chain(size):
+    """Path composition over a chain: the canonical two-atom join."""
+    n = 12 * size
+    return (parse_program("e(X, Y), e(Y, Z) -> p(X, Z)"),
+            _facts(f"e(c{i}, c{i + 1})" for i in range(n)))
+
+
+def wide_relation(size):
+    """A skewed star join through few hubs, then an existential."""
+    n, hubs = 18 * size, 1 + size
+    rules = parse_program(
+        "r(X, Y), s(Y, Z) -> t(X, Z)\nt(X, Z) -> exists W . u(Z, W)"
+    )
+    return rules, _facts(
+        [f"r(a{i}, h{i % hubs})" for i in range(n)]
+        + [f"s(h{j}, b{j})" for j in range(hubs)]
+    )
+
+
+def guarded_ontology(size):
+    """``guarded_tower_family``: guarded multi-atom bodies, one fresh
+    null per level."""
+    width = 4 * size
+    return guarded_tower_family(1 + size), _facts(
+        [f"r1(c{i}, d{i})" for i in range(width)]
+        + [f"m1(d{i})" for i in range(width)]
+    )
+
+
+def data_exchange(size):
+    """Source rows translated to a target schema with invented keys,
+    then joined back together (the E10 shape)."""
+    n, depts = 16 * size, 2 * size
+    rules = parse_program(
+        """
+        dept(D) -> exists K . dkey(D, K)
+        emp(X, D), dkey(D, K) -> works(X, K)
+        dkey(D, K) -> exists O . office(K, O)
+        works(X, K), office(K, O) -> located(X, O)
+        """
+    )
+    return rules, _facts(
+        [f"dept(d{j})" for j in range(depts)]
+        + [f"emp(e{i}, d{i % depts})" for i in range(n)]
+    )
+
+
+class TestSeedEngineReference:
+    """The engine against the seed's naive round loop: the same facts,
+    nulls included, and the same number of fired triggers."""
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize(
+        "variant",
+        [ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS,
+         ChaseVariant.RESTRICTED],
+    )
+    @pytest.mark.parametrize(
+        "shape", [deep_chain, wide_relation, guarded_ontology, data_exchange],
+        ids=lambda shape: shape.__name__,
+    )
+    def test_engine_matches_seed_loop(self, shape, variant, size):
+        rules, database = shape(size)
+        result = run_chase(database, rules, variant)
+        assert result.terminated
+        instance, steps = seed_chase(database, rules, variant)
+        assert result.step_count == steps > 0
+        assert instance_to_text(result.instance) == instance_to_text(instance)

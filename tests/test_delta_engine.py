@@ -37,6 +37,7 @@ from repro.model import (
 from repro.parser import parse_program
 from repro.termination import decide_guarded
 from repro.termination import mfa as mfa_module
+from repro.termination import saturation as saturation_module
 from repro.termination.abstraction import (
     PatternCloud,
     naive_pattern_homomorphisms,
@@ -112,6 +113,8 @@ def reference_skolem_chase(database, rules, max_steps=20_000):
 
 
 def assert_skolem_equivalent(rules, max_steps=20_000):
+    """Production and reference Skolem chases agree; returns whether
+    they reached a fixpoint."""
     database = critical_instance(rules)
     instance, cyclic, fixpoint = skolem_chase(database, rules, max_steps)
     ref_instance, ref_cyclic, ref_fixpoint = reference_skolem_chase(
@@ -121,6 +124,7 @@ def assert_skolem_equivalent(rules, max_steps=20_000):
     assert cyclic == ref_cyclic
     if fixpoint:
         assert instance.frozen() == ref_instance.frozen()
+    return fixpoint
 
 
 # -- DeltaEngine -----------------------------------------------------------
@@ -374,6 +378,17 @@ class TestSkolemChaseEquivalence:
         rules = random_guarded(3, seed=seed)
         assert_skolem_equivalent(rules, max_steps=4000)
 
+    @pytest.mark.parametrize("levels", [4, 10])
+    def test_existential_tower(self, levels):
+        # Level i joins s_i with t_i and invents the next level's
+        # member: ~levels rounds and ~levels^2/2 nested Skolem terms.
+        # Rules are listed top level first.
+        rules = parse_program("\n".join(
+            f"s{i}(X), t{i}(X) -> exists Z . r{i}(X, Z), s{i + 1}(Z), t{i + 1}(Z)"
+            for i in range(levels, 0, -1)
+        ))
+        assert assert_skolem_equivalent(rules), "the tower is MFA"
+
     def test_known_cyclic_program_yields_identical_witness(self):
         rules = parse_program("p(X, Y) -> exists Z . p(Y, Z)")
         database = critical_instance(rules)
@@ -458,6 +473,23 @@ class TestPatternJoinEquivalence:
 
 
 class TestGuardedDeciderEngines:
+    """The decider over compiled pattern joins vs the same decider with
+    every join routed through the naive backtracking scan."""
+
+    @staticmethod
+    def decide_naive(monkeypatch, rules, variant):
+        calls = []
+
+        def naive(body, cloud, constant_class, policy=None):
+            calls.append(body)
+            return naive_pattern_homomorphisms(body, cloud, constant_class)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(saturation_module, "pattern_homomorphisms", naive)
+            verdict = decide_guarded(rules, variant)
+        assert calls, "the naive scan never ran"
+        return verdict
+
     @pytest.mark.parametrize(
         "rules,terminating",
         [
@@ -466,19 +498,21 @@ class TestGuardedDeciderEngines:
         ],
         ids=["tower", "loop"],
     )
-    def test_both_engines_agree_on_families(self, rules, terminating):
+    def test_both_engines_agree_on_families(
+        self, monkeypatch, rules, terminating
+    ):
         for variant in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS):
             indexed = decide_guarded(rules, variant)
-            naive = decide_guarded(rules, variant, pattern_engine="naive")
+            naive = self.decide_naive(monkeypatch, rules, variant)
             assert indexed.terminating == naive.terminating == terminating
             assert (indexed.witness is None) == (naive.witness is None)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_both_engines_agree_on_random_guarded(self, seed):
+    def test_both_engines_agree_on_random_guarded(self, monkeypatch, seed):
         rules = random_guarded(3, seed=seed)
         indexed = decide_guarded(rules, ChaseVariant.SEMI_OBLIVIOUS)
-        naive = decide_guarded(
-            rules, ChaseVariant.SEMI_OBLIVIOUS, pattern_engine="naive"
+        naive = self.decide_naive(
+            monkeypatch, rules, ChaseVariant.SEMI_OBLIVIOUS
         )
         assert indexed.terminating == naive.terminating
 
@@ -487,11 +521,3 @@ class TestGuardedDeciderEngines:
             guarded_tower_family(2), ChaseVariant.SEMI_OBLIVIOUS
         )
         assert verdict.stats["pattern_joins"] > 0
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            decide_guarded(
-                guarded_tower_family(2),
-                ChaseVariant.SEMI_OBLIVIOUS,
-                pattern_engine="quantum",
-            )

@@ -83,6 +83,40 @@ class TestEntailsAtom:
             entails_atom(rules, db, parse_atom("r(a, a)"))
 
 
+class TestOrderPolicies:
+    """A wide guard carrying a selective rule constant, joined with a
+    medium unconstrained relation: ``wide(X, Y, k_l), mid(X, Y) ->
+    out_l(X, Y)``.  The heuristic ordering starts from ``mid``, the
+    cost planner from the three rows tagged ``k_l``; both must reach
+    the same verdicts."""
+
+    def setup_method(self):
+        facts = [f"wide(x{i}, y{i}, f{i})" for i in range(15)]
+        facts += [f"mid(x{i}, y{i})" for i in range(6)]
+        # Rows i-1, i and i+1 carry k_i.
+        facts += [f"wide(x{row}, y{row}, k{i})"
+                  for i in (1, 2) for row in range(i - 1, i + 2)]
+        self.rules = parse_program(
+            "wide(X, Y, k1), mid(X, Y) -> out1(X, Y)\n"
+            "wide(X, Y, k2), mid(X, Y) -> out2(X, Y)"
+        )
+        self.db = parse_database("\n".join(facts))
+
+    @pytest.mark.parametrize("policy", ["cost", "heuristic"])
+    def test_verdicts_agree_across_policies(self, policy):
+        expected = [
+            ("out1(x0, y0)", True),
+            ("out1(x2, y2)", True),
+            ("out2(x1, y1)", True),
+            ("out1(x5, y5)", False),  # in mid, but not tagged k1
+            ("out2(x0, y0)", False),
+        ]
+        for text, want in expected:
+            got = entails_atom(self.rules, self.db, parse_atom(text),
+                               order_policy=policy)
+            assert got is want, text
+
+
 class TestSaturatedFacts:
     def test_matches_terminating_chase_restriction(self):
         from repro.chase import semi_oblivious_chase

@@ -22,7 +22,6 @@ import pytest
 from repro.chase import ChaseVariant, resume_chase, run_chase
 from repro.chase.delta import ingest_facts
 from repro.chase.incremental import ChaseSession, extend_chase
-from repro.errors import BudgetExceededError
 from repro.model import Null, instance_homomorphism
 from repro.model.instances import SnapshotInstance
 from repro.parser import parse_database, parse_fact, parse_program, parse_query
@@ -86,9 +85,10 @@ def test_incremental_skolem_equal_to_from_scratch(variant):
         incremental = session.instance
         scratch = run_chase(union_database(), RULES, variant).instance
         assert len(incremental) == len(scratch)
-        nulls = lambda inst: {
-            t for t in inst.active_domain() if isinstance(t, Null)
-        }
+
+        def nulls(inst):
+            return {t for t in inst.active_domain() if isinstance(t, Null)}
+
         assert len(nulls(incremental)) == len(nulls(scratch))
         assert instance_homomorphism(incremental, scratch) is not None
         assert instance_homomorphism(scratch, incremental) is not None

@@ -9,7 +9,6 @@ from repro.model import (
     order_atoms,
     plan_for,
 )
-from repro.model.joinplan import AtomStep
 from tests.conftest import atom, tgd
 
 
@@ -93,49 +92,6 @@ class TestFactsWithPredicateCaching:
         assert inst.count_with_predicate(Predicate("q", 1)) == 0
 
 
-class TestAtomStep:
-    def test_try_match_binds_in_place(self):
-        step = AtomStep(atom("e", "X", "Y"))
-        assignment = {}
-        newly = step.try_match(atom("e", "a", "b"), assignment)
-        assert newly == (Variable("X"), Variable("Y"))
-        assert assignment == {Variable("X"): Constant("a"),
-                              Variable("Y"): Constant("b")}
-
-    def test_failed_match_leaves_assignment_untouched(self):
-        step = AtomStep(atom("q", "X", "X", "Y"))
-        assignment = {Variable("Y"): Constant("z")}
-        assert step.try_match(atom("q", "a", "b", "c"), assignment) is None
-        assert assignment == {Variable("Y"): Constant("z")}
-
-    def test_repeated_variable_checked(self):
-        step = AtomStep(atom("e", "X", "X"))
-        assert step.try_match(atom("e", "a", "b"), {}) is None
-        assert step.try_match(atom("e", "a", "a"), {}) == (Variable("X"),)
-
-    def test_bound_variable_respected(self):
-        step = AtomStep(atom("e", "X", "Y"))
-        assignment = {Variable("X"): Constant("b")}
-        assert step.try_match(atom("e", "a", "c"), assignment) is None
-        assert step.try_match(atom("e", "b", "c"), assignment) == (
-            Variable("Y"),
-        )
-
-    def test_constant_positions_checked(self):
-        step = AtomStep(atom("e", "a", "X"))
-        assert step.try_match(atom("e", "b", "c"), {}) is None
-        assert step.try_match(atom("e", "a", "c"), {}) == (Variable("X"),)
-
-    def test_candidates_probe_bound_positions(self):
-        inst = Instance([atom("e", "a", "b"), atom("e", "b", "c"),
-                         atom("e", "b", "d")])
-        step = AtomStep(atom("e", "X", "Y"))
-        unbound = list(step.candidates(inst, {}))
-        assert len(unbound) == 3
-        probed = list(step.candidates(inst, {Variable("X"): Constant("b")}))
-        assert probed == [atom("e", "b", "c"), atom("e", "b", "d")]
-
-
 class TestOrderAtoms:
     def test_most_constrained_first(self):
         inst = Instance(
@@ -198,6 +154,52 @@ class TestPlanCaching:
         plan = plan_for([atom("e", "X", "Y")], inst)
         assert plan.first(inst, {}) is not None
         assert plan.first(inst, {Variable("X"): Constant("zz")}) is None
+
+
+class TestPlanMatching:
+    """Per-atom matching, checked through ``JoinPlan.run``: repeated
+    variables, constants, bound variables and index probes."""
+
+    def test_variables_are_the_atoms_variables(self):
+        plan = compile_plan((atom("e", "X", "Y"), atom("q", "Y", "a", "Z")))
+        assert plan.variables == frozenset(
+            {Variable("X"), Variable("Y"), Variable("Z")}
+        )
+        assert compile_plan((atom("e", "a", "b"),)).variables == frozenset()
+
+    def test_repeated_variable_checked(self):
+        inst = Instance([atom("e", "a", "b"), atom("e", "c", "c")])
+        plan = compile_plan((atom("e", "X", "X"),))
+        assert list(plan.run(inst, {})) == [{Variable("X"): Constant("c")}]
+
+    def test_bound_variable_respected(self):
+        inst = Instance([atom("e", "a", "c"), atom("e", "b", "c")])
+        plan = compile_plan((atom("e", "X", "Y"),))
+        results = list(plan.run(inst, {Variable("X"): Constant("b")}))
+        assert [r[Variable("Y")] for r in results] == [Constant("c")]
+        assert all(r[Variable("X")] == Constant("b") for r in results)
+
+    def test_constant_positions_checked(self):
+        inst = Instance([atom("e", "b", "c"), atom("e", "a", "d")])
+        plan = compile_plan((atom("e", "a", "X"),))
+        assert list(plan.run(inst, {})) == [{Variable("X"): Constant("d")}]
+
+    def test_failed_match_leaves_assignment_untouched(self):
+        inst = Instance([atom("q", "a", "b", "c")])
+        plan = compile_plan((atom("q", "X", "X", "Y"),))
+        assignment = {Variable("Y"): Constant("z")}
+        assert plan.first(inst, assignment) is None
+        assert assignment == {Variable("Y"): Constant("z")}
+
+    def test_bound_positions_probe_in_insertion_order(self):
+        inst = Instance([atom("e", "a", "b"), atom("e", "b", "c"),
+                         atom("e", "b", "d")])
+        plan = compile_plan((atom("e", "X", "Y"),))
+        assert len(list(plan.run(inst, {}))) == 3
+        probed = plan.run(inst, {Variable("X"): Constant("b")})
+        assert [r[Variable("Y")] for r in probed] == [
+            Constant("c"), Constant("d"),
+        ]
 
 
 class TestRuleSortedOrders:

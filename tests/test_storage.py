@@ -20,7 +20,7 @@ from repro.chase import (
     run_chase,
 )
 from repro.cli import main
-from repro.model import Atom, Instance, Null, Predicate, Variable
+from repro.model import Atom, Null, Predicate, Variable
 from repro.parser import parse_database, parse_program
 from repro.query.planner import order_atoms_cost
 from repro.runtime.budget import Budget
