@@ -11,6 +11,11 @@ cd "$(dirname "$0")/.."
 echo "== tier-1 tests =="
 PYTHONPATH=src python -m pytest -x -q tests
 
+echo "== tier-1 tests in dev mode (unclosed files and sockets fail) =="
+PYTHONPATH=src python -X dev -W error::ResourceWarning \
+    -W error::pytest.PytestUnraisableExceptionWarning \
+    -m pytest -x -q tests
+
 echo "== tier-1 tests without NumPy (pure-Python kernels) =="
 REPRO_NO_NUMPY=1 PYTHONPATH=src python -m pytest -x -q tests
 

@@ -29,10 +29,12 @@ three files inside the store directory:
     on a bare int, and the decoded shape must match exactly).
 ``chase.pkl``
     A small pickled header rewritten atomically at every checkpoint:
-    variant, planner, ``max_steps``, the rules themselves (TGDs
-    pickle), the two files' record/int
-    watermarks, the null counter, the frontier, the interrupted
-    round's pending triggers, and the fact count the header describes.
+    variant, ``max_steps``, the rules themselves (TGDs pickle), the
+    two files' record/int watermarks, the null counter, the frontier,
+    the interrupted round's pending triggers, and the fact count the
+    header describes.  Older headers also carry a ``planner`` key; one
+    recording ``"cost"`` is refused at load, because its run numbered
+    nulls in another discovery order than this build chases in.
 
 Write order is data appends → manifest (the store commit, see
 :class:`~repro.storage.durable.StoreWriter.flush`) → header.  A crash
@@ -84,17 +86,16 @@ class Checkpointer:
     :meth:`checkpoint` appends the fact/step/fired tails and rewrites
     the two commit records (manifest, then header)."""
 
-    __slots__ = ("writer", "rules", "variant", "planner", "max_steps",
+    __slots__ = ("writer", "rules", "variant", "max_steps",
                  "n_steps", "steps_ints", "n_fired", "fired_ints",
                  "fired_logged", "null_next")
 
     def __init__(self, writer: StoreWriter, rules: Sequence[TGD],
-                 variant: str, planner: str, max_steps: int,
+                 variant: str, max_steps: int,
                  state: Optional[dict] = None):
         self.writer = writer
         self.rules = list(rules)
         self.variant = variant
-        self.planner = planner
         self.max_steps = max_steps
         if state is None:
             self.n_steps = 0
@@ -115,21 +116,21 @@ class Checkpointer:
 
     @classmethod
     def create(cls, path: str, instance: Instance, rules: Sequence[TGD],
-               variant: str, planner: str, max_steps: int,
+               variant: str, max_steps: int,
                overwrite: bool = False) -> "Checkpointer":
         """A fresh checkpointed run: creates the store directory (see
         :meth:`StoreWriter.create` for the overwrite contract)."""
         writer = StoreWriter.create(path, instance.store,
                                     overwrite=overwrite)
-        return cls(writer, rules, variant, planner, max_steps)
+        return cls(writer, rules, variant, max_steps)
 
     @classmethod
     def attach(cls, path: str, instance: Instance, state: dict,
                max_steps: int) -> "Checkpointer":
         """Continue checkpointing a resumed run into its directory."""
         writer = StoreWriter.attach(path, instance.store)
-        return cls(writer, state["rules"], state["variant"],
-                   state["planner"], max_steps, state=state)
+        return cls(writer, state["rules"], state["variant"], max_steps,
+                   state=state)
 
     def set_max_steps(self, max_steps: int) -> None:
         """Raise (or change) the recorded step budget — an extension
@@ -194,7 +195,6 @@ class Checkpointer:
         header = {
             "format": CHECKPOINT_FORMAT,
             "variant": self.variant,
-            "planner": self.planner,
             "max_steps": self.max_steps,
             "rules": tuple(self.rules),
             "n_steps": self.n_steps,
@@ -235,6 +235,13 @@ def load_state(path: str, store) -> dict:
         raise StoreFormatError(
             f"{path}: checkpoint format {state.get('format')!r}, "
             f"this build reads {CHECKPOINT_FORMAT}"
+        )
+    if state.get("planner", "heuristic") != "heuristic":
+        raise StoreFormatError(
+            f"{path}: checkpoint recorded join order "
+            f"{state['planner']!r}; this build chases only in the "
+            f"syntactic order, and resuming in another discovery order "
+            f"would number nulls differently from the saved run"
         )
     if state["facts"] != store.size():
         raise StoreFormatError(

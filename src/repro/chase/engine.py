@@ -35,7 +35,7 @@ from ..runtime.budget import (
     STOP_STEP_BUDGET,
     Budget,
 )
-from .delta import DeltaEngine, delta_triggers
+from .delta import DeltaEngine
 from .result import ChaseResult, ChaseStep
 from .triggers import (
     ChaseVariant,
@@ -52,11 +52,6 @@ DEFAULT_MAX_STEPS = 10_000
 #: Budget-check cadence inside the firing loop (the round boundary is
 #: always checked; this bounds how long a huge round can overrun).
 _STEP_CHECK_EVERY = 64
-
-# Backwards-compatible alias: the discovery pass moved to
-# repro.chase.delta so the deciders can share it.
-_incremental_triggers = delta_triggers
-
 
 def resource_stats(budget: Optional[Budget]) -> dict:
     """The ``ChaseResult.resource`` payload: the budget's accounting."""
@@ -186,9 +181,7 @@ def run_chase(
     rules: Sequence[TGD],
     variant: str = ChaseVariant.SEMI_OBLIVIOUS,
     max_steps: int = DEFAULT_MAX_STEPS,
-    null_factory: Optional[NullFactory] = None,
     order_seed: Optional[int] = None,
-    planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
     save: Optional[str] = None,
@@ -210,15 +203,11 @@ def run_chase(
     always round-consistent (database plus exactly the recorded steps),
     never a mid-trigger state.
 
-    ``planner`` selects the join-order policy for trigger discovery
-    (:mod:`repro.query.planner`): the default ``"heuristic"`` is the
-    canonical fair order; ``"cost"`` plans the rest-of-body joins from
-    the instance's columnar statistics — the same trigger *sets* fire,
-    but discovery order within a round (and hence null numbering) may
-    permute, so oblivious/semi-oblivious results are equal up to null
-    renaming and restricted results are a different (equally valid)
-    fair sequence.  Head-satisfaction probes are cost-planned under
-    either policy (pure existence tests — order never shows).
+    Trigger discovery joins each rule body in the syntactic order
+    (:func:`~repro.chase.triggers.rule_exec`), which fixes the
+    discovery order within a round and hence the null numbering;
+    head-satisfaction probes use the cost order (pure existence
+    tests — order never shows).
 
     ``kernel`` selects the execution tier for trigger discovery (see
     :data:`repro.query.kernels.KERNELS`): ``"vector"`` runs rest-of-
@@ -245,16 +234,12 @@ def run_chase(
     from exactly where it stopped, byte-identically to the
     uninterrupted run.  ``overwrite`` replaces an existing store at
     that path.  Incompatible with ``order_seed`` (a shuffled order is
-    not reconstructible) and with a custom ``null_factory`` (resume
-    derives null numbering from the step log, which assumes the
-    default counter).
+    not reconstructible).
     """
     if variant not in ChaseVariant.ALL:
         raise ValueError(f"unknown chase variant {variant!r}")
     if max_steps <= 0:
         raise ValueError(f"max_steps must be positive, got {max_steps}")
-    if planner not in ("heuristic", "cost"):
-        raise ValueError(f"unknown planner policy {planner!r}")
     from ..query.kernels import KERNELS
 
     if kernel not in KERNELS:
@@ -267,11 +252,6 @@ def run_chase(
                 "save is incompatible with order_seed: a shuffled "
                 "round order cannot be reconstructed at resume"
             )
-        if null_factory is not None:
-            raise ValueError(
-                "save requires the default null numbering: resume "
-                "derives the null counter from the step log"
-            )
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be positive, got {checkpoint_every}"
@@ -279,9 +259,8 @@ def run_chase(
     rules = list(rules)
     validate_program(rules)
     instance = Instance(database)
-    instance.order_policy = planner
     instance.kernel = kernel
-    factory = null_factory or NullFactory()
+    factory = NullFactory()
     if budget is not None:
         budget.start()
     engine = DeltaEngine(
@@ -305,7 +284,7 @@ def run_chase(
 
         engine.track_fired()
         ckpt = Checkpointer.create(
-            save, instance, rules, variant, planner, max_steps,
+            save, instance, rules, variant, max_steps,
             overwrite=overwrite,
         )
         # Checkpoint 0: the database and the rule symbols.
@@ -361,7 +340,6 @@ def resume_chase(
         max_steps = state["max_steps"]
     store.ensure_all()
     instance = Instance(store=store)
-    instance.order_policy = state["planner"]
     steps = [
         ChaseStep(
             Trigger.from_ids(rules[ri], ri, ids, instance),
@@ -405,14 +383,13 @@ def oblivious_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
 ) -> ChaseResult:
     """The oblivious chase: every distinct body homomorphism fires."""
     return run_chase(
         database, rules, ChaseVariant.OBLIVIOUS, max_steps,
-        planner=planner, kernel=kernel, budget=budget,
+        kernel=kernel, budget=budget,
     )
 
 
@@ -420,7 +397,6 @@ def semi_oblivious_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
 ) -> ChaseResult:
@@ -428,7 +404,7 @@ def semi_oblivious_chase(
     are indistinguishable."""
     return run_chase(
         database, rules, ChaseVariant.SEMI_OBLIVIOUS, max_steps,
-        planner=planner, kernel=kernel, budget=budget,
+        kernel=kernel, budget=budget,
     )
 
 
@@ -436,7 +412,6 @@ def restricted_chase(
     database: Instance,
     rules: Sequence[TGD],
     max_steps: int = DEFAULT_MAX_STEPS,
-    planner: str = "heuristic",
     kernel: str = "tuple",
     budget: Optional[Budget] = None,
 ) -> ChaseResult:
@@ -444,5 +419,5 @@ def restricted_chase(
     yet satisfied."""
     return run_chase(
         database, rules, ChaseVariant.RESTRICTED, max_steps,
-        planner=planner, kernel=kernel, budget=budget,
+        kernel=kernel, budget=budget,
     )

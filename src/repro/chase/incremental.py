@@ -82,7 +82,7 @@ class ChaseSession:
     """
 
     __slots__ = (
-        "instance", "rules", "variant", "planner", "max_steps",
+        "instance", "rules", "variant", "max_steps",
         "result",
         "_engine", "_factory", "_steps", "_ckpt", "_checkpoint_every",
         "_pending", "_rounds", "_terminated", "_stop_reason",
@@ -114,7 +114,6 @@ class ChaseSession:
         *,
         variant: str = ChaseVariant.SEMI_OBLIVIOUS,
         max_steps: int = DEFAULT_MAX_STEPS,
-        planner: str = "heuristic",
         kernel: str = "tuple",
         budget: Optional[Budget] = None,
         save: Optional[str] = None,
@@ -124,9 +123,10 @@ class ChaseSession:
         """Chase ``database`` with ``rules`` and keep the run resident.
 
         Accepts the same knobs as :func:`~repro.chase.engine.run_chase`
-        (minus ``order_seed``/``null_factory``, which are incompatible
-        with deterministic continuation); ``budget`` governs this
-        initial leg only — each :meth:`extend` takes its own.
+        (minus ``order_seed``, which is incompatible with deterministic
+        continuation) and chases in the same join order; ``budget``
+        governs this initial leg only — each :meth:`extend` takes its
+        own.
         """
         if variant not in ChaseVariant.ALL:
             raise ValueError(f"unknown chase variant {variant!r}")
@@ -134,8 +134,6 @@ class ChaseSession:
             raise ValueError(
                 f"max_steps must be positive, got {max_steps}"
             )
-        if planner not in ("heuristic", "cost"):
-            raise ValueError(f"unknown planner policy {planner!r}")
         from ..query.kernels import KERNELS
 
         if kernel not in KERNELS:
@@ -150,11 +148,9 @@ class ChaseSession:
         session = cls._blank()
         session.rules = rules
         session.variant = variant
-        session.planner = planner
         session.max_steps = max_steps
         session._checkpoint_every = checkpoint_every
         instance = Instance(database)
-        instance.order_policy = planner
         instance.kernel = kernel
         session.instance = instance
         session._factory = NullFactory()
@@ -174,7 +170,7 @@ class ChaseSession:
 
             session._engine.track_fired()
             session._ckpt = Checkpointer.create(
-                save, instance, rules, variant, planner, max_steps,
+                save, instance, rules, variant, max_steps,
                 overwrite=overwrite,
             )
             session._ckpt.checkpoint(session._engine, session._steps)
@@ -208,14 +204,12 @@ class ChaseSession:
         session = cls._blank()
         session.rules = rules
         session.variant = state["variant"]
-        session.planner = state["planner"]
         session.max_steps = (
             state["max_steps"] if max_steps is None else max_steps
         )
         session._checkpoint_every = checkpoint_every
         store.ensure_all()
         instance = Instance(store=store)
-        instance.order_policy = state["planner"]
         session.instance = instance
         session._factory = NullFactory(start=state["null_next"])
         session._steps = [

@@ -43,7 +43,7 @@ from ..model import (
     Variable,
     homomorphisms,
 )
-from ..model.joinplan import PlanExec, ResolvedStep, resolve_exec
+from ..model.joinplan import PlanExec, ResolvedStep, order_atoms, resolve_exec
 from ..query.planner import order_for
 
 
@@ -227,18 +227,18 @@ def _head_exec(instance: Instance, rule: TGD) -> _HeadExec:
     """The (cached) head exec for ``rule``.
 
     Head satisfaction is a pure existence test, so its join order
-    affects only speed — never results or enumeration order.  The
-    ordering is therefore cost-planned (:mod:`repro.query.planner` —
-    an always-safe consumer of the statistics-driven policy) and
-    recomputed lazily, whenever the instance has doubled since the
-    exec was built (O(log growth) reorders), instead of per probe.
+    affects only speed — never results or enumeration order.  The head
+    therefore runs in the cost order
+    (:func:`repro.query.planner.order_for`), recomputed lazily
+    whenever the instance has doubled since the exec was built
+    (O(log growth) reorders), instead of per probe.
     """
     cache = instance._plans
     entry = cache.get(rule)
     size = len(instance)
     if entry is not None and size <= 2 * entry[0]:
         return entry[1]
-    ordered = order_for(rule.head, instance, rule.frontier, policy="cost")
+    ordered = order_for(rule.head, instance, rule.frontier)
     key = ("head", rule, ordered)
     exec_ = cache.get(key)
     if exec_ is None:
@@ -444,15 +444,14 @@ class RuleExec:
 
 
 def rule_exec(instance: Instance, rule: TGD, pivot: int) -> RuleExec:
-    """The (cached) :class:`RuleExec` for ``(rule, pivot)`` under the
-    join order the instance's planner policy selects.
+    """The (cached) :class:`RuleExec` for ``(rule, pivot)``.
 
-    ``instance.order_policy`` ("heuristic" by default — the canonical
-    fair order the sequence-level tests pin; "cost" opts in to
-    statistics-driven ordering, which keeps trigger *sets* identical
-    but may permute discovery order within a round) is consulted here,
-    so the chase engines' discovery goes through the same planner as
-    the query surface.
+    The rest of the body runs in the syntactic order
+    (:func:`~repro.model.joinplan.order_atoms`), never the cost order:
+    discovery order numbers the nulls, so it is part of the chase's
+    output, and this order is the canonical fair sequence that
+    ``run_chase``, resume, ``ChaseSession`` and the golden records
+    share.
     """
     pivot_atom = rule.body[pivot]
     rest = [a for i, a in enumerate(rule.body) if i != pivot]
@@ -462,10 +461,8 @@ def rule_exec(instance: Instance, rule: TGD, pivot: int) -> RuleExec:
         # them.  One exec serves every candidate row — the caller
         # materializes all triggers before mutating the instance, so
         # the join order cannot go stale mid-loop.
-        pivot_vars = pivot_atom.variables()
-        ordered = order_for(
-            rest, instance, frozenset(pivot_vars),
-            policy=instance.order_policy,
+        ordered = order_atoms(
+            rest, instance, frozenset(pivot_atom.variables())
         )
     else:
         ordered = ()

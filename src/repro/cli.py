@@ -7,7 +7,8 @@ stop-reason/exit-code table, is ``docs/CLI.md`` (the only synopsis);
 
 Rule files use the library syntax (``p(X) -> exists Z . q(X, Z)``);
 database files hold one ground atom per line.  ``query`` chases the
-database to a (universal, when the chase terminates) model and
+database to a (universal, when the chase terminates) model — the same
+instance, null numbering included, that ``chase`` prints — and
 evaluates a conjunctive query over it through the cost-based planner
 (:mod:`repro.query`): naive answers by default, null-free certain
 answers with ``--certain``.
@@ -175,7 +176,6 @@ def _cmd_check(args) -> int:
                 rules,
                 standard=args.standard,
                 allow_oracle=args.allow_oracle,
-                order_policy=args.planner,
                 budget=budget,
             )
         print(report.render())
@@ -194,7 +194,6 @@ def _cmd_check(args) -> int:
             variant=variant,
             standard=args.standard,
             allow_oracle=args.allow_oracle,
-            order_policy=args.planner,
             budget=budget,
         )
     print(verdict.explain())
@@ -239,7 +238,7 @@ def _cmd_chase(args) -> int:
     with _sigint_cancels(budget):
         result = run_chase(
             database, rules, variant, max_steps=max_steps,
-            planner=args.planner, kernel=args.kernel, budget=budget,
+            kernel=args.kernel, budget=budget,
             save=args.save, overwrite=args.overwrite,
             checkpoint_every=args.checkpoint_every,
         )
@@ -275,21 +274,18 @@ def _query_over_store(args, budget) -> int:
         )
     if query.is_boolean():
         holds = query.holds_in(
-            instance, policy=args.planner,
-            kernel=args.kernel, budget=budget,
+            instance, kernel=args.kernel, budget=budget,
         )
         print("true" if holds else "false")
         return 0
     name = query.name
     if args.certain:
         answers = query.certain_answers(
-            instance, policy=args.planner,
-            kernel=args.kernel, budget=budget,
+            instance, kernel=args.kernel, budget=budget,
         )
     else:
         answers = query.answers(
-            instance, policy=args.planner,
-            kernel=args.kernel, budget=budget,
+            instance, kernel=args.kernel, budget=budget,
         )
     count = 0
     for answer in answers:
@@ -322,7 +318,7 @@ def _cmd_query(args) -> int:
     with _sigint_cancels(budget):
         result = run_chase(
             database, rules, variant, max_steps=args.max_steps,
-            planner=args.planner, kernel=args.kernel, budget=budget,
+            kernel=args.kernel, budget=budget,
         )
         _chase_summary(variant, result)
         if args.certain and not result.terminated:
@@ -334,8 +330,7 @@ def _cmd_query(args) -> int:
         exit_code = EXIT_CODES.get(result.stop_reason, 1)
         if query.is_boolean():
             holds = query.holds_in(
-                result.instance, policy=args.planner,
-                kernel=args.kernel, budget=budget,
+                result.instance, kernel=args.kernel, budget=budget,
             )
             print("true" if holds else "false")
             return exit_code
@@ -343,13 +338,11 @@ def _cmd_query(args) -> int:
         name = query.name
         if args.certain:
             answers = query.certain_answers(
-                result.instance, policy=args.planner,
-                kernel=args.kernel, budget=budget,
+                result.instance, kernel=args.kernel, budget=budget,
             )
         else:
             answers = query.answers(
-                result.instance, policy=args.planner,
-                kernel=args.kernel, budget=budget,
+                result.instance, kernel=args.kernel, budget=budget,
             )
         count = 0
         for answer in answers:
@@ -509,7 +502,7 @@ def _cmd_serve(args) -> int:
         with _sigint_cancels(budget):
             session = ChaseSession.start(
                 database, rules, variant=variant, max_steps=max_steps,
-                planner=args.planner, kernel=args.kernel, budget=budget,
+                kernel=args.kernel, budget=budget,
                 save=args.save, overwrite=args.overwrite,
             )
         service.add_session(
@@ -527,16 +520,6 @@ def _cmd_serve(args) -> int:
     finally:
         service.close()
     return 0
-
-
-def _add_planner_flag(
-    parser: argparse.ArgumentParser, default: str
-) -> None:
-    parser.add_argument(
-        "--planner", choices=("cost", "heuristic"), default=default,
-        help="join-order policy (repro.query.planner); 'cost' plans "
-             "from columnar statistics, 'heuristic' is the fixed "
-             f"syntactic ordering (default: {default})")
 
 
 def _add_kernel_flag(
@@ -584,7 +567,6 @@ def _add_check(check: argparse.ArgumentParser) -> None:
     check.add_argument("--full", action="store_true",
                        help="print the full report (classes, the "
                             "sufficient-condition zoo, both variants)")
-    _add_planner_flag(check, default="cost")
     _add_budget_flags(check)
     check.set_defaults(func=_cmd_check)
 
@@ -614,7 +596,6 @@ def _add_chase(chase: argparse.ArgumentParser) -> None:
     chase.add_argument("--no-save", action="store_true",
                        help="with --resume, continue in memory without "
                             "advancing the on-disk checkpoint")
-    _add_planner_flag(chase, default="heuristic")
     _add_kernel_flag(chase)
     _add_budget_flags(chase)
     chase.set_defaults(func=_cmd_chase)
@@ -635,7 +616,6 @@ def _add_query(query: argparse.ArgumentParser) -> None:
                             "sorted")
     query.add_argument("--variant", choices=sorted(_VARIANTS), default="r")
     query.add_argument("--max-steps", type=int, default=10_000)
-    _add_planner_flag(query, default="cost")
     _add_kernel_flag(query)
     _add_budget_flags(query)
     query.set_defaults(func=_cmd_query)
@@ -702,7 +682,6 @@ def _add_serve(serve: argparse.ArgumentParser) -> None:
                             "store; ingested deltas persist there too")
     serve.add_argument("--overwrite", action="store_true",
                        help="with --save, replace an existing store")
-    _add_planner_flag(serve, default="cost")
     _add_kernel_flag(serve)
     _add_budget_flags(serve)
     serve.set_defaults(func=_cmd_serve)

@@ -15,11 +15,8 @@ Evaluation runs on the int-native query subsystem
 columnar statistics, answers are projected and deduplicated as term-id
 tuples (no ``Term``-tuple dedup sets — the set holds small-int tuples
 and only yielded answers ever materialize as objects), and certain
-answers filter nulls by a memoized id-kind check.  Pass
-``policy="heuristic"`` to any evaluation method to force the retained
-PR 1 ordering; both policies produce the same answer sets, and the
-property tests additionally hold them to the
-``naive_homomorphisms``-derived oracle.
+answers filter nulls by a memoized id-kind check.  The property tests
+hold the answer sets to the ``naive_homomorphisms``-derived oracle.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ class ConjunctiveQuery:
     over a *terminated* chase are exactly the answers true in every
     model of D ∧ Σ.  A query with no answer variables is boolean —
     evaluate it with ``holds_in``.  Evaluation delegates to the
-    (cached, per ``policy``) :class:`repro.query.CompiledQuery`.
+    (cached, per kernel) :class:`repro.query.CompiledQuery`.
 
     ``name`` is the answer predicate's display name (what the parser
     saw before ``:-``; what the CLI prints answers under) — pure
@@ -102,20 +99,15 @@ class ConjunctiveQuery:
         """True iff the query has no answer variables."""
         return not self.answer_variables
 
-    def compiled(
-        self, policy: str = "cost", kernel: str = "tuple"
-    ) -> CompiledQuery:
-        """The (cached) int-native compiled form under ``policy`` and
-        execution ``kernel`` (see
-        :data:`repro.query.kernels.KERNELS`)."""
-        key = (policy, kernel)
-        compiled = self._compiled.get(key)
+    def compiled(self, kernel: str = "tuple") -> CompiledQuery:
+        """The (cached) int-native compiled form under execution
+        ``kernel`` (see :data:`repro.query.kernels.KERNELS`)."""
+        compiled = self._compiled.get(kernel)
         if compiled is None:
             compiled = CompiledQuery(
-                self.answer_variables, self.atoms,
-                policy=policy, kernel=kernel,
+                self.answer_variables, self.atoms, kernel=kernel
             )
-            self._compiled[key] = compiled
+            self._compiled[kernel] = compiled
         return compiled
 
     # -- evaluation -----------------------------------------------------
@@ -123,18 +115,16 @@ class ConjunctiveQuery:
     def answers(
         self,
         instance: Instance,
-        policy: str = "cost",
         kernel: str = "tuple",
         budget=None,
     ) -> Iterator[Tuple[Term, ...]]:
         """Naive answers: one tuple per homomorphism image,
         deduplicated in id space (only yielded answers materialize)."""
-        return self.compiled(policy, kernel).answers(instance, budget=budget)
+        return self.compiled(kernel).answers(instance, budget=budget)
 
     def certain_answers(
         self,
         instance: Instance,
-        policy: str = "cost",
         kernel: str = "tuple",
         budget=None,
     ) -> List[Tuple[Term, ...]]:
@@ -143,16 +133,15 @@ class ConjunctiveQuery:
         When ``instance`` is a universal model of (D, Σ), these are the
         certain answers of the query under Σ.
         """
-        return self.compiled(policy, kernel).certain_answers(
+        return self.compiled(kernel).certain_answers(
             instance, budget=budget
         )
 
     def holds_in(
         self,
         instance: Instance,
-        policy: str = "cost",
         kernel: str = "tuple",
         budget=None,
     ) -> bool:
         """Boolean evaluation: does any match exist?"""
-        return self.compiled(policy, kernel).holds_in(instance, budget=budget)
+        return self.compiled(kernel).holds_in(instance, budget=budget)

@@ -28,14 +28,10 @@ from ..model import (
 from ..query import CompiledQuery
 
 
-def is_model(
-    instance: Instance, rules: Sequence[TGD], policy: str = "cost"
-) -> bool:
+def is_model(instance: Instance, rules: Sequence[TGD]) -> bool:
     """Property (1): ``instance`` satisfies every rule."""
     for index, rule in enumerate(rules):
-        body = CompiledQuery(
-            rule.body_variables_sorted, rule.body, policy=policy
-        )
+        body = CompiledQuery(rule.body_variables_sorted, rule.body)
         frontier_get = rule._frontier_get
         seen: Set[Tuple] = set()
         for ids in body.matches_ids(instance):

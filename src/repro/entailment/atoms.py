@@ -28,7 +28,6 @@ def entails_atom(
     database: Instance,
     atom: Atom,
     max_types: int = DEFAULT_MAX_TYPES,
-    order_policy: str = "cost",
     budget=None,
 ) -> bool:
     """Decide ``database ∧ rules ⊨ atom`` for guarded ``rules``.
@@ -37,19 +36,15 @@ def entails_atom(
     entailment of atoms mentioning unknown constants is vacuously
     false, and this function returns False for them.
 
-    The saturation fixpoint's body-vs-cloud joins run through the
-    cost-based planner (:mod:`repro.query.planner`); ``order_policy``
-    selects the ordering policy (``"heuristic"`` is the retained PR 1
-    ordering — same verdicts, kept selectable for the equivalence
-    cross-checks).
+    The saturation fixpoint's body-vs-cloud joins run in the cost
+    order (:mod:`repro.query.planner`).
     """
     if not atom.is_ground():
         raise ValueError(f"entailment is defined for ground atoms, got {atom}")
     if atom.nulls():
         raise ValueError(f"entailment queries must be null-free, got {atom}")
     analysis = TypeAnalysis(
-        rules, database=database, max_types=max_types,
-        order_policy=order_policy, budget=budget,
+        rules, database=database, max_types=max_types, budget=budget,
     )
     if atom.predicate not in analysis.schema:
         return False
@@ -68,7 +63,6 @@ def saturated_facts(
     rules: Sequence[TGD],
     database: Instance,
     max_types: int = DEFAULT_MAX_TYPES,
-    order_policy: str = "cost",
     budget=None,
 ) -> Database:
     """All facts over the database's constants entailed by D ∧ Σ.
@@ -77,8 +71,7 @@ def saturated_facts(
     original constants — finite and exactly computable for guarded Σ.
     """
     analysis = TypeAnalysis(
-        rules, database=database, max_types=max_types,
-        order_policy=order_policy, budget=budget,
+        rules, database=database, max_types=max_types, budget=budget,
     )
     analysis.saturate()
     out = Database()

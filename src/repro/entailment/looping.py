@@ -121,7 +121,6 @@ def looping_operator(
     goal: Predicate,
     check_termination: bool = True,
     variant: str = "semi_oblivious",
-    order_policy: str = "cost",
 ) -> LoopingProgram:
     """Apply the looping operator to the entailment instance
     ``(rules, database, goal)``.
@@ -130,10 +129,7 @@ def looping_operator(
     databases)  ⇔  database ∧ rules ⊭ goal.
 
     The ``check_termination`` precondition runs the guarded decider's
-    type saturation, whose pattern joins are ordered by the cost-based
-    planner; ``order_policy`` selects the planner policy
-    (:data:`repro.query.planner.ORDER_POLICIES`) — the check's verdict
-    is policy-independent.
+    type saturation.
     """
     rules = list(rules)
     validate_program(rules)
@@ -151,9 +147,7 @@ def looping_operator(
     if check_termination:
         from ..termination import decide_termination
 
-        if not decide_termination(
-            rules, variant=variant, order_policy=order_policy
-        ).terminating:
+        if not decide_termination(rules, variant=variant).terminating:
             raise UnsupportedClassError(
                 "the looping operator requires a terminating base program "
                 "(otherwise the reduction is vacuous); pass "

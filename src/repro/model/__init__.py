@@ -23,12 +23,7 @@ from .homomorphism import (
     naive_homomorphisms,
 )
 from .instances import Database, Instance, union
-from .joinplan import (
-    JoinPlan,
-    compile_plan,
-    order_atoms,
-    plan_for,
-)
+from .joinplan import order_atoms
 from .rules import (
     TGD,
     program_constants,
@@ -57,7 +52,6 @@ __all__ = [
     "Constant",
     "Database",
     "Instance",
-    "JoinPlan",
     "Null",
     "NullFactory",
     "Position",
@@ -69,7 +63,6 @@ __all__ = [
     "Variable",
     "apply_assignment",
     "atoms_predicates",
-    "compile_plan",
     "has_homomorphism",
     "homomorphisms",
     "instance_homomorphism",
@@ -84,7 +77,6 @@ __all__ = [
     "match_atom",
     "naive_homomorphisms",
     "order_atoms",
-    "plan_for",
     "program_constants",
     "program_predicates",
     "union",

@@ -13,9 +13,10 @@ Two flavours are needed by the library:
   this is the universality test of chase results (§1 of the paper).
 
 The implementation is a deterministic indexed join: conjunctions are
-ordered most-constrained-first, compiled once into a
-:class:`~repro.model.joinplan.JoinPlan`, and executed iteratively with
-term-level index probes supplied by
+put in the syntactic most-constrained-first order
+(:func:`~repro.model.joinplan.order_atoms`), resolved to the
+instance's cached int-level :class:`~repro.model.joinplan.PlanExec`,
+and executed iteratively with term-level index probes supplied by
 :class:`~repro.model.instances.Instance`.  The pre-index backtracking
 matcher is retained as :func:`naive_homomorphisms` — it enumerates the
 same assignments in the same order and serves as the reference
@@ -28,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 from .atoms import Atom
 from .instances import Instance
-from .joinplan import order_atoms, plan_for
+from .joinplan import order_atoms, resolve_exec
 from .terms import Null, Term, Variable
 
 
@@ -71,14 +72,31 @@ def homomorphisms(
     yielded in a deterministic order (insertion order of the matched
     facts under a most-constrained-first join order).
     """
+    partial = partial or {}
     if not atoms:
-        yield dict(partial or {})
+        yield dict(partial)
         return
-    if partial:
-        plan = plan_for(atoms, instance, frozenset(partial))
-        yield from plan.run(instance, dict(partial))
-    else:
-        yield from plan_for(atoms, instance).run(instance, {})
+    exec_ = resolve_exec(
+        instance, order_atoms(atoms, instance, frozenset(partial))
+    )
+    # Encode the partial assignment into slot ids; its variables that
+    # the atoms do not mention pass through to every result unchanged.
+    assign = exec_.fresh_assign()
+    extra = []
+    slot_of = exec_.slot_of
+    for var, term in partial.items():
+        slot = slot_of.get(var)
+        if slot is None:
+            extra.append((var, term))
+        else:
+            assign[slot] = instance.term_id(term)
+    out = exec_.out
+    obj = instance.symbols.obj
+    for match in exec_.run(instance, assign):
+        result: Assignment = dict(extra)
+        for var, slot in out:
+            result[var] = obj(match[slot])
+        yield result
 
 
 def naive_homomorphisms(
@@ -120,12 +138,7 @@ def has_homomorphism(
     partial: Optional[Assignment] = None,
 ) -> bool:
     """True iff at least one homomorphism exists."""
-    if not atoms:
-        return True
-    if partial:
-        plan = plan_for(atoms, instance, frozenset(partial))
-        return plan.first(instance, dict(partial)) is not None
-    return plan_for(atoms, instance).first(instance, {}) is not None
+    return next(homomorphisms(atoms, instance, partial), None) is not None
 
 
 def apply_assignment(atoms: Sequence[Atom], assignment: Assignment) -> List[Atom]:

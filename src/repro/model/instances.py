@@ -78,7 +78,6 @@ class Instance:
     __slots__ = (
         "_store",
         "_atoms",
-        "order_policy",
         "kernel",
         "_domain_cache",
         "_constants_cache",
@@ -110,10 +109,6 @@ class Instance:
         # on object-level adds, decoded on demand everywhere else (most
         # engine-created facts never materialize at all).
         self._atoms: Dict[int, Atom] = {}
-        # Join-order policy consulted by the chase engines' discovery
-        # and head-probe plans ("heuristic" preserves the canonical
-        # fair order; "cost" plans from the store's statistics).
-        self.order_policy: str = "heuristic"
         # Execution-kernel policy consulted by the chase engines'
         # trigger discovery ("tuple" is the original one-binding-at-a-
         # time executor; "vector"/"auto" let fat rounds run the batch
@@ -147,7 +142,6 @@ class Instance:
             # their add() checks still run.
             self._store = facts._store.clone()
             self._atoms = dict(facts._atoms)
-            self.order_policy = facts.order_policy
             self.kernel = facts.kernel
             return
         for fact in facts:
@@ -580,7 +574,6 @@ class SnapshotInstance(Instance):
         # the same fact, so concurrent lazy decoding is safe and work
         # done by one side benefits the other.
         self._atoms = base._atoms
-        self.order_policy = base.order_policy
         self.kernel = base.kernel
 
     @property
@@ -609,7 +602,6 @@ class SnapshotInstance(Instance):
         """An independent, mutable in-memory instance holding exactly
         the facts below the watermark."""
         out = Instance(store=self._store.clone())
-        out.order_policy = self.order_policy
         out.kernel = self.kernel
         return out
 

@@ -37,10 +37,10 @@ the retained naive reference implementation, assignment-for-assignment.
 
 Resolution artifacts (steps, execs) are cached **per instance** (in
 ``Instance._plans``, capped) because constant ids are meaningless
-across id spaces; the symbolic :class:`JoinPlan` keeps its global
-cache and its public object-level contract — it encodes at entry and
-decodes at yield, so existing callers see Variable→Term dicts exactly
-as before.
+across id spaces.  The object-level
+:func:`~repro.model.homomorphism.homomorphisms` runs these execs
+directly: it encodes a partial assignment at entry and decodes each
+match at yield, so its callers see Variable→Term dicts.
 """
 
 from __future__ import annotations
@@ -58,9 +58,7 @@ from typing import (
 
 from .atoms import Atom
 from .instances import Instance
-from .terms import Term, Variable
-
-Assignment = Dict[Variable, Term]
+from .terms import Variable
 
 _EMPTY_ROWS: Tuple = ()
 
@@ -416,58 +414,6 @@ def resolve_exec(
     return exec_
 
 
-# -- the symbolic (object-level) surface -----------------------------------
-
-
-class JoinPlan:
-    """A compiled conjunction: ordered atoms ready for execution.
-
-    The public object-level surface: ``run`` accepts and yields
-    Variable→Term dicts exactly as before, but executes on the
-    interned-id engine — the partial assignment is encoded to slot ids
-    at entry and every match is decoded at yield, so only the
-    conjunction's *results* ever materialize as objects.
-    """
-
-    __slots__ = ("atoms", "variables")
-
-    def __init__(self, ordered_atoms: Sequence[Atom]):
-        self.atoms: Tuple[Atom, ...] = tuple(ordered_atoms)
-        self.variables: FrozenSet[Variable] = frozenset().union(
-            *(atom.variables() for atom in self.atoms)
-        )
-
-    def run(
-        self, instance: Instance, assignment: Assignment
-    ) -> Iterator[Assignment]:
-        """Yield one fresh dict per homomorphism extending
-        ``assignment`` (which is never mutated)."""
-        exec_ = resolve_exec(instance, self.atoms)
-        assign = exec_.fresh_assign()
-        extra: List[Tuple[Variable, Term]] = []
-        slot_of = exec_.slot_of
-        for var, term in assignment.items():
-            slot = slot_of.get(var)
-            if slot is None:
-                extra.append((var, term))
-            else:
-                assign[slot] = instance.term_id(term)
-        out = exec_.out
-        obj = instance.symbols.obj
-        for match in exec_.run(instance, assign):
-            result: Assignment = dict(extra)
-            for var, slot in out:
-                result[var] = obj(match[slot])
-            yield result
-
-    def first(
-        self, instance: Instance, assignment: Assignment
-    ) -> Optional[Assignment]:
-        """The first homomorphism, or ``None`` — the applicability test
-        of the restricted chase and of head-satisfaction checks."""
-        return next(self.run(instance, assignment), None)
-
-
 def order_atoms(
     atoms: Sequence[Atom],
     instance: Instance,
@@ -498,38 +444,3 @@ def order_atoms(
         ordered.append(best[0])
         seen |= best[1]
     return tuple(ordered)
-
-
-# -- caches ----------------------------------------------------------------
-
-_PLAN_CACHE: Dict[Tuple[Atom, ...], JoinPlan] = {}
-_CACHE_CAP = 4096
-
-
-def compile_plan(ordered_atoms: Sequence[Atom]) -> JoinPlan:
-    """The (cached) plan executing ``ordered_atoms`` in the given order."""
-    key = tuple(ordered_atoms)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        if len(key) > _PLAN_ATOM_CAP:
-            return JoinPlan(key)
-        if len(_PLAN_CACHE) >= _CACHE_CAP:
-            _PLAN_CACHE.clear()
-        plan = JoinPlan(key)
-        _PLAN_CACHE[key] = plan
-    return plan
-
-
-def plan_for(
-    atoms: Sequence[Atom],
-    instance: Instance,
-    bound: FrozenSet[Variable] = frozenset(),
-) -> JoinPlan:
-    """Order ``atoms`` for ``instance`` and return the compiled plan.
-
-    Ordering is a cheap O(k²) pass over the conjunction (fan-outs are
-    O(1) lookups); the expensive per-atom resolution is cached per
-    instance, and a given conjunction stabilises to a handful of
-    distinct orders, so in the steady state this is two dict hits.
-    """
-    return compile_plan(order_atoms(atoms, instance, bound))

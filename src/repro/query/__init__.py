@@ -1,9 +1,9 @@
 """The unified query subsystem: cost-based, int-native planning and
 execution for conjunctive queries, entailment, and chase discovery.
 
-``repro.query`` owns join *ordering* for every consumer of conjunction
-matching (:func:`~repro.query.planner.order_for` with the ``cost`` and
-``heuristic`` policies) and the int-native evaluation surface
+``repro.query`` owns the cost join order
+(:func:`~repro.query.planner.order_for`) that CQ evaluation, head
+probes and pattern joins use, and the int-native evaluation surface
 (:class:`~repro.query.compiled.CompiledQuery`).  The object-level
 :func:`repro.model.homomorphisms` API is unchanged and remains the
 compatibility surface and differential-test oracle.
@@ -11,16 +11,10 @@ compatibility surface and differential-test oracle.
 
 from .compiled import CompiledQuery
 from .kernels import KERNELS, choose_kernel, is_cyclic, numpy_active
-from .planner import (
-    ORDER_POLICIES,
-    estimate_extension,
-    order_atoms_cost,
-    order_for,
-)
+from .planner import estimate_extension, order_atoms_cost, order_for
 
 __all__ = [
     "KERNELS",
-    "ORDER_POLICIES",
     "CompiledQuery",
     "choose_kernel",
     "estimate_extension",

@@ -8,8 +8,8 @@ even when the match was a duplicate about to be dropped.
 
 :class:`CompiledQuery` keeps the whole pipeline in id space:
 
-* the body is ordered by the cost-based planner
-  (:mod:`repro.query.planner`) and resolved to a slot-compiled
+* the body is put in the cost order
+  (:func:`repro.query.planner.order_for`) and resolved to a slot-compiled
   :class:`~repro.model.joinplan.PlanExec`;
 * answers are projected out of the live slot list by a compiled
   ``itemgetter`` — an *int* tuple, no Term materialization;
@@ -85,10 +85,8 @@ class CompiledQuery:
     """A conjunctive query compiled for repeated int-native evaluation.
 
     ``answer_variables`` may repeat and may be empty (a boolean query);
-    every answer variable must occur in ``atoms``.  ``policy`` selects
-    the planner's ordering policy (see
-    :data:`repro.query.planner.ORDER_POLICIES`); both policies yield
-    the same answer *sets*, in possibly different orders.
+    every answer variable must occur in ``atoms``.  The body runs in
+    the cost order (:func:`repro.query.planner.order_for`).
 
     ``kernel`` selects the execution tier (see
     :data:`repro.query.kernels.KERNELS`): ``"tuple"`` is the original
@@ -113,18 +111,16 @@ class CompiledQuery:
     tests and tuning, never results.
     """
 
-    __slots__ = ("answer_variables", "atoms", "policy", "kernel", "stats")
+    __slots__ = ("answer_variables", "atoms", "kernel", "stats")
 
     def __init__(
         self,
         answer_variables: Sequence[Variable],
         atoms: Sequence[Atom],
-        policy: str = "cost",
         kernel: str = "tuple",
     ):
         self.answer_variables: Tuple[Variable, ...] = tuple(answer_variables)
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
-        self.policy = policy
         if kernel not in _kernels.KERNELS:
             raise ValueError(
                 f"unknown kernel {kernel!r}; expected one of "
@@ -151,8 +147,7 @@ class CompiledQuery:
         head = ", ".join(v.name for v in self.answer_variables)
         body = ", ".join(str(a) for a in self.atoms)
         return (
-            f"CompiledQuery(({head}) :- {body}, policy={self.policy}, "
-            f"kernel={self.kernel})"
+            f"CompiledQuery(({head}) :- {body}, kernel={self.kernel})"
         )
 
     # -- plan resolution ----------------------------------------------------
@@ -161,7 +156,7 @@ class CompiledQuery:
         """``(prefix, suffix, project, slots, full)`` for ``instance``
         at its current growth bucket.
 
-        The planner-ordered body is resolved into one shared slot
+        The cost-ordered body is resolved into one shared slot
         space and split at the first step binding every answer
         variable: ``prefix`` enumerates up to that point (where the
         projection is determined), ``suffix`` is the residual join
@@ -177,15 +172,12 @@ class CompiledQuery:
             "cq",
             self.atoms,
             self.answer_variables,
-            self.policy,
             len(instance).bit_length(),
         )
         entry = cache.get(key)
         if entry is None:
             self.stats["plans"] += 1
-            ordered = order_for(
-                self.atoms, instance, policy=self.policy
-            )
+            ordered = order_for(self.atoms, instance)
             # Reuse the shared per-instance resolution (same steps and
             # slot space the engines use) instead of re-resolving.
             exec_ = resolve_exec(instance, ordered)

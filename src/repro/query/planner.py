@@ -12,24 +12,24 @@ new variables.  That ignores everything the interned columnar
   maintained incrementally by ``add_row``), which bound the average
   posting-list length a *bound variable* will probe with.
 
-This module is the single ordering entry point for the whole query
-subsystem — CQ evaluation, universality checks, entailment's pattern
-joins, and the chase engines' trigger discovery and head probes all
-route through :func:`order_for`.  Two policies are offered:
+:func:`order_for` is the cost order: greedy smallest-estimated-
+extension ordering — at each step pick the atom whose estimated number
+of matching rows *per intermediate tuple* (under the variables bound
+so far) is smallest.  The estimate is join-dependent: row count times
+the product of per-position selectivities (see
+:func:`estimate_extension`), so an atom constrained at several
+positions ranks below one with a single good index even when that
+index is the best *individual* candidate list.  Ties break to the
+syntactic order's criteria and finally to body position, so the
+ordering is deterministic.
 
-* ``"cost"`` — greedy smallest-estimated-extension ordering: at each
-  step pick the atom whose estimated number of matching rows *per
-  intermediate tuple* (under the variables bound so far) is smallest.
-  The estimate is join-dependent: row count times the product of
-  per-position selectivities (see :func:`estimate_extension`), so an
-  atom constrained at several positions ranks below one with a single
-  good index even when that index is the best *individual* candidate
-  list.  Ties break to the old heuristic's criteria and finally to
-  body position, so the ordering is deterministic.
-* ``"heuristic"`` — the PR 1 ordering, retained verbatim as the
-  selectable fallback and the equivalence cross-check: any conjunction
-  must produce the same answer *set* under both policies (the property
-  tests hold the planner to that).
+Each join has one fixed order.  CQ evaluation, universality checks,
+the restricted chase's head probes and saturation/entailment pattern
+joins use the cost order: their results are sets or existence tests,
+so the order changes only speed.  Chase trigger discovery uses the
+syntactic :func:`~repro.model.joinplan.order_atoms` instead, because
+discovery order numbers the nulls and is therefore part of the output
+(see ``rule_exec`` in :mod:`repro.chase.triggers`).
 
 Orders are cached per instance in a fact-count-bucketed cache (see
 :func:`order_for`): statistics drift as a chase grows, so a cached
@@ -45,12 +45,7 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from ..model.atoms import Atom
 from ..model.instances import Instance
 from ..model.joinplan import _RESOLVE_CACHE_CAP
-from ..model.joinplan import order_atoms as heuristic_order_atoms
 from ..model.terms import Variable
-
-ORDER_POLICIES = ("cost", "heuristic")
-"""Join-order policies: ``cost`` plans from columnar statistics,
-``heuristic`` is the retained PR 1 syntactic ordering."""
 
 
 def estimate_extension(
@@ -151,26 +146,16 @@ def order_for(
     atoms: Sequence[Atom],
     instance: Instance,
     bound: FrozenSet[Variable] = frozenset(),
-    policy: str = "cost",
 ) -> Tuple[Atom, ...]:
-    """The planner's entry point: order ``atoms`` for ``instance``
-    under ``policy``.
+    """The cost order of ``atoms`` for ``instance``
+    (:func:`order_atoms_cost`), cached.
 
-    Cost orders are cached per instance, keyed on the conjunction, the
+    Orders are cached per instance, keyed on the conjunction, the
     bound set, and the instance's power-of-two *fact-count bucket* —
     statistics shift as instances grow, so a cached order expires when
     the fact count crosses a bucket boundary and is replanned from the
-    fresh statistics.  The heuristic policy delegates straight to the
-    retained PR 1 ordering (cheap enough to recompute, and its own
-    fan-out inputs are O(1) lookups).
+    fresh statistics.
     """
-    if policy == "heuristic":
-        return heuristic_order_atoms(atoms, instance, bound)
-    if policy != "cost":
-        raise ValueError(
-            f"unknown order policy {policy!r}; expected one of "
-            f"{ORDER_POLICIES}"
-        )
     # Shares the instance's plan cache and its cap/clear discipline
     # (repro.model.joinplan): stale buckets linger only until a
     # cap-triggered clear, at most O(log growth) buckets exist per

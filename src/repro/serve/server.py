@@ -11,7 +11,7 @@ path         method  body / effect
 ``/health``  GET     liveness probe (also reports draining state)
 ``/stats``   GET     :meth:`ChaseService.status` — per-resident state
 ``/query``   POST    ``{"query": "...", "certain"?, "resident"?,
-                     "policy"?, "kernel"?, "timeout_s"?}`` → answers
+                     "kernel"?, "timeout_s"?}`` → answers
 ``/entail``  POST    ``{"atom": "p(a, b)", "resident"?, "timeout_s"?}``
                      → ground-atom entailment at the pinned watermark
 ``/facts``   POST    ``{"facts": "...text..." | ["p(a, b)", ...],
@@ -28,7 +28,8 @@ control is the service's own (snapshot-pinned reads, per-resident
 single-writer ingest lock, admission gate).  Error mapping:
 :class:`ServiceError` → its status, parse/validation errors → 400, a
 tripped request budget (:class:`~repro.errors.BudgetExceededError`) →
-503 with the stop reason, unknown path → 404.  A shed request
+503 with the stop reason, unknown path → 404; body fields an endpoint
+does not list are ignored.  A shed request
 (:class:`~repro.serve.admission.OverloadError`) maps to 429/503 with a
 ``Retry-After`` header and a ``retry_after_s`` payload field.
 
@@ -292,7 +293,6 @@ class ChaseServer:
                 text,
                 resident=payload.get("resident"),
                 certain=bool(payload.get("certain", False)),
-                policy=payload.get("policy", "cost"),
                 kernel=payload.get("kernel"),
                 timeout_s=payload.get("timeout_s"),
             )

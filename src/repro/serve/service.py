@@ -391,7 +391,6 @@ class ChaseService:
         *,
         resident: Optional[str] = None,
         certain: bool = False,
-        policy: str = "cost",
         kernel: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ) -> dict:
@@ -412,8 +411,6 @@ class ChaseService:
         with self._admitted():
             target = self._resident(resident)
             snapshot = target.snapshot  # pin once: the request's world
-            if policy not in ("cost", "heuristic"):
-                raise ServiceError(f"unknown planner policy {policy!r}")
             if kernel is None:
                 kernel = self.default_kernel
             if kernel not in KERNELS:
@@ -438,20 +435,16 @@ class ChaseService:
                 )
             if query.is_boolean():
                 out["boolean"] = query.holds_in(
-                    snapshot, policy=policy, kernel=kernel, budget=budget
+                    snapshot, kernel=kernel, budget=budget
                 )
             else:
                 if certain:
                     answers = query.certain_answers(
-                        snapshot, policy=policy, kernel=kernel,
-                        budget=budget,
+                        snapshot, kernel=kernel, budget=budget
                     )
                 else:
                     answers = list(
-                        query.answers(
-                            snapshot, policy=policy, kernel=kernel,
-                            budget=budget,
-                        )
+                        query.answers(snapshot, kernel=kernel, budget=budget)
                     )
                 name = query.name
                 out["answers"] = [

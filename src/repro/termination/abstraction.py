@@ -302,7 +302,6 @@ def pattern_homomorphisms(
     body: Sequence[Atom],
     cloud: Union[FrozenSet[AtomPattern], PatternCloud],
     constant_class: Dict[Constant, int],
-    policy: str = "cost",
 ) -> Iterator[Dict[Variable, int]]:
     """All assignments of the body's variables to classes such that
     every body atom maps to a cloud pattern.
@@ -310,21 +309,21 @@ def pattern_homomorphisms(
     The pattern-level analogue of
     :func:`repro.model.homomorphism.homomorphisms`; rule constants must
     land on their own constant class.  ``cloud`` may be a raw frozenset
-    of patterns or an already-built :class:`PatternCloud`; ``policy``
-    selects the planner's join ordering (class-term posting lists are
-    real columnar statistics, so ``cost`` ordering probes selective
-    constant columns first).  Assignments are yielded in the chosen
-    plan's deterministic order (which differs from the naive
-    reference's order — callers treat the result as a set), and the
-    whole join runs in id space: class ints are decoded through the
-    cloud's memo, never by materializing per-match Term objects.
+    of patterns or an already-built :class:`PatternCloud`.  The body
+    runs in the cost order (class-term posting lists are real columnar
+    statistics, so selective constant columns are probed first).
+    Assignments are yielded in that plan's deterministic order (which
+    differs from the naive reference's order — callers treat the
+    result as a set), and the whole join runs in id space: class ints
+    are decoded through the cloud's memo, never by materializing
+    per-match Term objects.
     """
     index = cloud if isinstance(cloud, PatternCloud) else PatternCloud(cloud)
     pattern_body = _pattern_body(body, constant_class)
     if pattern_body is None:
         return
     instance = index.instance
-    ordered = order_for(pattern_body, instance, policy=policy)
+    ordered = order_for(pattern_body, instance)
     exec_ = resolve_exec(instance, ordered)
     out = exec_.out
     class_of = index.class_of

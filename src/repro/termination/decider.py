@@ -35,7 +35,6 @@ def decide_termination(
     max_types: int = DEFAULT_MAX_TYPES,
     allow_oracle: bool = False,
     oracle_steps: int = DEFAULT_ORACLE_STEPS,
-    order_policy: str = "cost",
     budget=None,
 ) -> TerminationVerdict:
     """Decide all-instance ``variant``-chase termination for ``rules``.
@@ -53,18 +52,15 @@ def decide_termination(
     allow_oracle:
         For non-guarded Σ, permit the (incomplete) budgeted oracle
         instead of raising :class:`UnsupportedClassError`.
-    order_policy:
-        Join-order policy for the guarded procedure's pattern joins
-        (:data:`repro.query.planner.ORDER_POLICIES`); verdicts are
-        policy-independent.
     budget:
         Optional :class:`repro.runtime.budget.Budget` governing the
-        guarded saturation (deadline, memory ceiling, cancellation);
-        a tripped budget raises
+        type saturation behind the linear (Theorem 2) and guarded
+        (Theorem 4) procedures (deadline, round cap, memory ceiling,
+        cancellation); a tripped budget raises
         :class:`~repro.errors.BudgetExceededError` with the stop
-        reason — the verdict is then unknown.  The NL/PSPACE graph
-        procedures finish far below any sensible budget and ignore
-        the knob.
+        reason — the verdict is then unknown.  The simple-linear
+        (Theorem 1) graph procedure finishes far below any sensible
+        budget and ignores the knob.
     """
     rules = list(rules)
     if variant not in (ChaseVariant.OBLIVIOUS, ChaseVariant.SEMI_OBLIVIOUS):
@@ -75,11 +71,13 @@ def decide_termination(
     if method == "simple_linear":
         return decide_simple_linear(rules, variant)
     if method == "linear":
-        return decide_linear(rules, variant, max_types=max_types)
+        return decide_linear(
+            rules, variant, max_types=max_types, budget=budget
+        )
     if method == "guarded":
         return decide_guarded(
             rules, variant, standard=standard, max_types=max_types,
-            order_policy=order_policy, budget=budget,
+            budget=budget,
         )
     if method == "oracle":
         return _oracle_or_raise(rules, variant, standard, oracle_steps)
@@ -102,11 +100,13 @@ def decide_termination(
     if cls == "simple_linear":
         return decide_simple_linear(rules, variant)
     if cls == "linear":
-        return decide_linear(rules, variant, max_types=max_types)
+        return decide_linear(
+            rules, variant, max_types=max_types, budget=budget
+        )
     if cls == "guarded":
         return decide_guarded(
             rules, variant, standard=standard, max_types=max_types,
-            order_policy=order_policy, budget=budget,
+            budget=budget,
         )
     if allow_oracle:
         return _oracle_or_raise(rules, variant, standard, oracle_steps)

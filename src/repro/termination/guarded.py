@@ -29,7 +29,6 @@ def decide_guarded(
     variant: str,
     standard: bool = False,
     max_types: int = DEFAULT_MAX_TYPES,
-    order_policy: str = "cost",
     budget=None,
 ) -> TerminationVerdict:
     """Decide ``Σ ∈ CT_variant`` for guarded Σ (Theorem 4).
@@ -40,10 +39,6 @@ def decide_guarded(
     or the optional ``budget`` (a
     :class:`repro.runtime.budget.Budget`) trips — the verdict is then
     *unknown*; the error's ``stop_reason`` names the limit.
-
-    ``order_policy`` selects the join ordering of saturation's
-    class-indexed pattern joins
-    (:data:`repro.query.planner.ORDER_POLICIES`).
     """
     rules = list(rules)
     if not is_guarded(rules):
@@ -60,7 +55,6 @@ def decide_guarded(
         rules,
         standard=standard,
         max_types=max_types,
-        order_policy=order_policy,
         budget=budget,
     )
     graph = TransitionGraph(analysis)

@@ -35,14 +35,21 @@ def decide_linear(
     rules: Sequence[TGD],
     variant: str,
     max_types: int = DEFAULT_MAX_TYPES,
+    budget=None,
 ) -> TerminationVerdict:
-    """Decide ``Σ ∈ CT_variant`` for linear Σ (Theorem 2)."""
+    """Decide ``Σ ∈ CT_variant`` for linear Σ (Theorem 2).
+
+    ``budget`` (a :class:`repro.runtime.budget.Budget`) governs the
+    type saturation exactly as in
+    :func:`~repro.termination.guarded.decide_guarded`."""
     rules = list(rules)
     if not is_linear(rules):
         raise UnsupportedClassError(
             "decide_linear requires linear TGDs (single-atom bodies)"
         )
-    verdict = decide_guarded(rules, variant, max_types=max_types)
+    verdict = decide_guarded(
+        rules, variant, max_types=max_types, budget=budget
+    )
     method = (
         "critical_rich_acyclicity"
         if variant == ChaseVariant.OBLIVIOUS

@@ -84,7 +84,6 @@ def termination_report(
     mfa_budget: int = 20_000,
     standard: bool = False,
     allow_oracle: bool = False,
-    order_policy: str = "cost",
     budget: Optional[Budget] = None,
 ) -> TerminationReport:
     """Build a :class:`TerminationReport` for ``rules``.
@@ -92,8 +91,8 @@ def termination_report(
     The exact verdicts are ``None`` when the rules fall outside the
     guarded classes (undecidable territory) and no procedure applies;
     the zoo conditions are always computed (MFA is ``None`` when the
-    Skolem chase exceeds ``mfa_budget`` facts).  ``standard``,
-    ``allow_oracle`` and ``order_policy`` are passed to both
+    Skolem chase exceeds ``mfa_budget`` facts).  ``standard`` and
+    ``allow_oracle`` are passed to both
     :func:`~repro.termination.decider.decide_termination` calls.
     ``budget`` governs the whole report — the MFA check and both
     verdicts — and a tripped budget raises
@@ -116,8 +115,7 @@ def termination_report(
         try:
             verdicts[variant] = decide_termination(
                 rules, variant=variant, standard=standard,
-                allow_oracle=allow_oracle, order_policy=order_policy,
-                budget=budget,
+                allow_oracle=allow_oracle, budget=budget,
             )
         except UnsupportedClassError:
             verdicts[variant] = None

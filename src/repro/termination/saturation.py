@@ -160,7 +160,6 @@ class TypeAnalysis:
         standard: bool = False,
         max_types: int = DEFAULT_MAX_TYPES,
         database: Optional[Instance] = None,
-        order_policy: str = "cost",
         budget=None,
     ):
         """Analyse ``rules`` over the critical instance (default), the
@@ -169,11 +168,9 @@ class TypeAnalysis:
         guarded atom-entailment engine of :mod:`repro.entailment`.
 
         Rule bodies are joined against clouds through the compiled
-        class-indexed join plans of :mod:`repro.termination.abstraction`.
-        ``order_policy`` selects the planner's join ordering
-        (:data:`repro.query.planner.ORDER_POLICIES`; ``cost`` plans
-        from the cloud's columnar statistics, ``heuristic`` is the
-        retained PR 1 ordering — assignment sets are identical)."""
+        class-indexed join plans of :mod:`repro.termination.abstraction`,
+        in the cost order planned from each cloud's columnar
+        statistics."""
         rules = list(rules)
         validate_program(rules)
         for rule in rules:
@@ -187,9 +184,6 @@ class TypeAnalysis:
         self.standard = standard
         self.database = database
         self.max_types = max_types
-        if order_policy not in ("cost", "heuristic"):
-            raise ValueError(f"unknown order policy {order_policy!r}")
-        self.order_policy = order_policy
         # How many body-vs-cloud joins saturation executed — surfaced
         # through TransitionGraph.stats() for certificates/benchmarks.
         self.pattern_joins = 0
@@ -319,9 +313,7 @@ class TypeAnalysis:
         snapshot = PatternCloud(cloud)
         constant_class = self.constant_class
         return [
-            list(pattern_homomorphisms(
-                rule.body, snapshot, constant_class, policy=self.order_policy
-            ))
+            list(pattern_homomorphisms(rule.body, snapshot, constant_class))
             for _, rule in indexed_rules
         ]
 

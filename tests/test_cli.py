@@ -73,6 +73,32 @@ class TestCheck:
         ) == 0
 
 
+class TestCheckLinearBudget:
+    """The linear (Theorem 2) decider honours every budget flag."""
+
+    @pytest.fixture
+    def chain_file(self, tmp_path):
+        # The repeated body variable keeps the chain linear rather
+        # than simple-linear, so check takes the Theorem 2 path.
+        rules = ["q(X, X) -> p1(X, X)"] + [
+            f"p{i}(X, Y) -> exists Z . p{i + 1}(Y, Z)" for i in range(1, 21)
+        ]
+        path = tmp_path / "chain.tgd"
+        path.write_text("\n".join(rules) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("flags,code,status", [
+        (["--timeout", "0.05"], 4, "deadline exceeded"),
+        (["--max-rounds", "1"], 1, "budget exhausted"),
+        (["--max-memory-mb", "1"], 5, "memory ceiling exceeded"),
+    ])
+    def test_budget_flag_stops_the_decider(
+        self, chain_file, flags, code, status, capsys
+    ):
+        assert main(["check", chain_file, *flags]) == code
+        assert capsys.readouterr().err.startswith(f"% {status}:")
+
+
 class TestCheckFull:
     """``check --full`` honours the same flags as ``check``: one budget
     governs the whole report."""
@@ -187,18 +213,6 @@ class TestQuery:
         ) == 0
         assert "false" in capsys.readouterr().out
 
-    def test_planner_policies_agree(
-        self, exchange_rules_file, emp_db_file, capsys
-    ):
-        outs = []
-        for policy in ("cost", "heuristic"):
-            assert main(
-                ["query", exchange_rules_file, emp_db_file,
-                 "q(X) :- works(X, D)", "--certain", "--planner", policy]
-            ) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-
     def test_budget_exhausted_exit_code(self, rules_file, db_file, capsys):
         assert main(
             ["query", rules_file, db_file,
@@ -300,15 +314,20 @@ class TestErrors:
 
 
 class TestSerialOnly:
-    """Rounds run on one serial path: the executor flags, the worker
-    fault directives and the degraded-executor stop reason are gone."""
+    """Rounds run on one serial path and each join in one order: the
+    executor and join-order flags, the worker fault directives and the
+    degraded-executor stop reason are gone."""
 
     @pytest.mark.parametrize("command", ["check", "chase", "query", "serve"])
-    def test_workers_flag_is_a_usage_error(self, command, capsys):
+    @pytest.mark.parametrize("flag,value", [("--workers", "2"),
+                                            ("--planner", "cost")])
+    def test_removed_flag_is_a_usage_error(
+        self, command, flag, value, capsys
+    ):
         with pytest.raises(SystemExit) as exc:
-            main([command, "rules.tgd", "--workers", "2"])
+            main([command, "rules.tgd", flag, value])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_worker_crash_directive_is_unknown(
         self, rules_file, db_file, monkeypatch, capsys
@@ -406,9 +425,9 @@ class TestPerCommandParser:
         self, terminating_rules_file, argparse_calls, capsys
     ):
         assert main(["check", terminating_rules_file]) == 0
-        # The top level and ``check``; all nine commands are 10 and 69.
+        # The top level and ``check``; all nine commands are 10 and 65.
         assert argparse_calls["parsers"] == 2
-        assert len(argparse_calls["arguments"]) == 11
+        assert len(argparse_calls["arguments"]) == 10
 
     def test_python_m_repro_reads_sys_argv(self, capsys):
         env = dict(os.environ, PYTHONPATH=SRC)
@@ -442,3 +461,19 @@ class TestPerCommandParser:
         )
         assert "--variant" in options
         assert undocumented == []
+
+    def test_every_documented_option_exists(self, argparse_calls):
+        # The reverse direction: a flag the parsers no longer accept
+        # must not stay documented.
+        build_parser()
+        with open(CLI_DOC, encoding="utf-8") as handle:
+            doc = handle.read()
+        options = {
+            string
+            for args, _ in argparse_calls["arguments"]
+            for string in args
+            if string.startswith("-")
+        }
+        documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", doc))
+        assert "--variant" in documented
+        assert sorted(documented - options) == []

@@ -480,7 +480,7 @@ class TestGuardedDeciderEngines:
     def decide_naive(monkeypatch, rules, variant):
         calls = []
 
-        def naive(body, cloud, constant_class, policy=None):
+        def naive(body, cloud, constant_class):
             calls.append(body)
             return naive_pattern_homomorphisms(body, cloud, constant_class)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chase import ChaseVariant, run_chase
-from repro.chase.engine import _incremental_triggers
+from repro.chase.delta import delta_triggers
 from repro.model import Instance
 from repro.parser import parse_database, parse_program
 from tests.conftest import atom
@@ -16,14 +16,14 @@ class TestIncrementalTriggers:
         # Only q(a) is new: the trigger must still be found via the
         # q-pivot with p matched against the full instance.
         triggers = list(
-            _incremental_triggers(rules, instance, [atom("q", "a")])
+            delta_triggers(rules, instance, [atom("q", "a")])
         )
         assert len(triggers) >= 1
 
     def test_no_new_facts_no_triggers(self):
         rules = parse_program("p(X) -> r(X)")
         instance = Instance([atom("p", "a")])
-        assert list(_incremental_triggers(rules, instance, [])) == []
+        assert list(delta_triggers(rules, instance, [])) == []
 
     def test_duplicates_possible_but_harmless(self):
         # Both body atoms hit new facts: the same assignment may be
@@ -31,7 +31,7 @@ class TestIncrementalTriggers:
         rules = parse_program("p(X), q(X) -> r(X)")
         instance = Instance([atom("p", "a"), atom("q", "a")])
         triggers = list(
-            _incremental_triggers(
+            delta_triggers(
                 rules, instance, [atom("p", "a"), atom("q", "a")]
             )
         )
@@ -43,7 +43,7 @@ class TestIncrementalTriggers:
         rules = parse_program("p(X) -> r(X)")
         instance = Instance([atom("z", "a")])
         assert list(
-            _incremental_triggers(rules, instance, [atom("z", "a")])
+            delta_triggers(rules, instance, [atom("z", "a")])
         ) == []
 
 

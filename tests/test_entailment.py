@@ -83,12 +83,11 @@ class TestEntailsAtom:
             entails_atom(rules, db, parse_atom("r(a, a)"))
 
 
-class TestOrderPolicies:
+class TestSelectiveGuardConstant:
     """A wide guard carrying a selective rule constant, joined with a
     medium unconstrained relation: ``wide(X, Y, k_l), mid(X, Y) ->
-    out_l(X, Y)``.  The heuristic ordering starts from ``mid``, the
-    cost planner from the three rows tagged ``k_l``; both must reach
-    the same verdicts."""
+    out_l(X, Y)``.  The cost order starts from the three rows tagged
+    ``k_l`` (the syntactic order would start from ``mid``)."""
 
     def setup_method(self):
         facts = [f"wide(x{i}, y{i}, f{i})" for i in range(15)]
@@ -102,8 +101,7 @@ class TestOrderPolicies:
         )
         self.db = parse_database("\n".join(facts))
 
-    @pytest.mark.parametrize("policy", ["cost", "heuristic"])
-    def test_verdicts_agree_across_policies(self, policy):
+    def test_verdicts(self):
         expected = [
             ("out1(x0, y0)", True),
             ("out1(x2, y2)", True),
@@ -112,8 +110,7 @@ class TestOrderPolicies:
             ("out2(x0, y0)", False),
         ]
         for text, want in expected:
-            got = entails_atom(self.rules, self.db, parse_atom(text),
-                               order_policy=policy)
+            got = entails_atom(self.rules, self.db, parse_atom(text))
             assert got is want, text
 
 

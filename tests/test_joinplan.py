@@ -5,9 +5,8 @@ from repro.model import (
     Instance,
     Predicate,
     Variable,
-    compile_plan,
+    homomorphisms,
     order_atoms,
-    plan_for,
 )
 from tests.conftest import atom, tgd
 
@@ -128,14 +127,11 @@ class TestOrderAtoms:
 
 
 class TestPlanCaching:
-    def test_plan_cached_by_ordered_atoms(self):
-        body = (atom("e", "X", "Y"), atom("e", "Y", "Z"))
-        assert compile_plan(body) is compile_plan(body)
-
-    def test_plan_for_executes(self):
+    def test_join_executes(self):
         inst = Instance([atom("e", "a", "b"), atom("e", "b", "c")])
-        plan = plan_for([atom("e", "X", "Y"), atom("e", "Y", "Z")], inst)
-        results = list(plan.run(inst, {}))
+        results = list(
+            homomorphisms([atom("e", "X", "Y"), atom("e", "Y", "Z")], inst)
+        )
         assert results == [{
             Variable("X"): Constant("a"),
             Variable("Y"): Constant("b"),
@@ -144,59 +140,66 @@ class TestPlanCaching:
 
     def test_run_restores_scratch_assignment(self):
         inst = Instance([atom("e", "a", "b"), atom("e", "b", "c")])
-        plan = plan_for([atom("e", "X", "Y")], inst)
         scratch = {}
-        list(plan.run(inst, scratch))
+        list(homomorphisms([atom("e", "X", "Y")], inst, scratch))
         assert scratch == {}
 
     def test_first_finds_existence(self):
         inst = Instance([atom("e", "a", "b")])
-        plan = plan_for([atom("e", "X", "Y")], inst)
-        assert plan.first(inst, {}) is not None
-        assert plan.first(inst, {Variable("X"): Constant("zz")}) is None
+        body = [atom("e", "X", "Y")]
+        assert next(homomorphisms(body, inst), None) is not None
+        missing = homomorphisms(body, inst, {Variable("X"): Constant("zz")})
+        assert next(missing, None) is None
 
 
 class TestPlanMatching:
-    """Per-atom matching, checked through ``JoinPlan.run``: repeated
+    """Per-atom matching, checked through ``homomorphisms``: repeated
     variables, constants, bound variables and index probes."""
-
-    def test_variables_are_the_atoms_variables(self):
-        plan = compile_plan((atom("e", "X", "Y"), atom("q", "Y", "a", "Z")))
-        assert plan.variables == frozenset(
-            {Variable("X"), Variable("Y"), Variable("Z")}
-        )
-        assert compile_plan((atom("e", "a", "b"),)).variables == frozenset()
 
     def test_repeated_variable_checked(self):
         inst = Instance([atom("e", "a", "b"), atom("e", "c", "c")])
-        plan = compile_plan((atom("e", "X", "X"),))
-        assert list(plan.run(inst, {})) == [{Variable("X"): Constant("c")}]
+        assert list(homomorphisms([atom("e", "X", "X")], inst)) == [
+            {Variable("X"): Constant("c")}
+        ]
 
     def test_bound_variable_respected(self):
         inst = Instance([atom("e", "a", "c"), atom("e", "b", "c")])
-        plan = compile_plan((atom("e", "X", "Y"),))
-        results = list(plan.run(inst, {Variable("X"): Constant("b")}))
+        results = list(homomorphisms(
+            [atom("e", "X", "Y")], inst, {Variable("X"): Constant("b")}
+        ))
         assert [r[Variable("Y")] for r in results] == [Constant("c")]
         assert all(r[Variable("X")] == Constant("b") for r in results)
 
+    def test_unmentioned_partial_variables_pass_through(self):
+        inst = Instance([atom("e", "a", "b")])
+        results = list(homomorphisms(
+            [atom("e", "X", "Y")], inst, {Variable("W"): Constant("d")}
+        ))
+        assert results == [{
+            Variable("W"): Constant("d"),
+            Variable("X"): Constant("a"),
+            Variable("Y"): Constant("b"),
+        }]
+
     def test_constant_positions_checked(self):
         inst = Instance([atom("e", "b", "c"), atom("e", "a", "d")])
-        plan = compile_plan((atom("e", "a", "X"),))
-        assert list(plan.run(inst, {})) == [{Variable("X"): Constant("d")}]
+        assert list(homomorphisms([atom("e", "a", "X")], inst)) == [
+            {Variable("X"): Constant("d")}
+        ]
 
     def test_failed_match_leaves_assignment_untouched(self):
         inst = Instance([atom("q", "a", "b", "c")])
-        plan = compile_plan((atom("q", "X", "X", "Y"),))
         assignment = {Variable("Y"): Constant("z")}
-        assert plan.first(inst, assignment) is None
+        matches = homomorphisms([atom("q", "X", "X", "Y")], inst, assignment)
+        assert next(matches, None) is None
         assert assignment == {Variable("Y"): Constant("z")}
 
     def test_bound_positions_probe_in_insertion_order(self):
         inst = Instance([atom("e", "a", "b"), atom("e", "b", "c"),
                          atom("e", "b", "d")])
-        plan = compile_plan((atom("e", "X", "Y"),))
-        assert len(list(plan.run(inst, {}))) == 3
-        probed = plan.run(inst, {Variable("X"): Constant("b")})
+        body = [atom("e", "X", "Y")]
+        assert len(list(homomorphisms(body, inst))) == 3
+        probed = homomorphisms(body, inst, {Variable("X"): Constant("b")})
         assert [r[Variable("Y")] for r in probed] == [
             Constant("c"), Constant("d"),
         ]

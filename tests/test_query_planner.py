@@ -3,16 +3,16 @@
 ``repro.query`` plans conjunctions from columnar statistics and
 evaluates them entirely in id space; the retained object-level path
 (:func:`repro.model.naive_homomorphisms` + explicit ``Term``-tuple
-projection) is the oracle.  Planner-ordered answers must be
-*set*-identical to the oracle's — ordering policies may permute
+projection) is the oracle.  Cost-ordered answers must be
+*set*-identical to the oracle's — the join order may permute
 enumeration order, never membership — on chase-grown instances with
 labelled nulls and (via the Skolem chase) structured Skolem terms.
 
 Also covered: the plan cache's fact-count-bucket invalidation, the
-certain-answer null filtering, the cost/heuristic policy cross-check,
-``is_model`` against an object-level reference, and the chase's
-``planner="cost"`` opt-in (same trigger sets — equal up to null
-renaming).
+certain-answer null filtering, ``is_model`` against an object-level
+reference, and the absence of any join-order selection: every job
+has one fixed order, so the keywords that once chose another are
+rejected.
 """
 
 import random
@@ -31,7 +31,6 @@ from repro.model import (
     TGD,
     Variable,
     has_homomorphism,
-    is_homomorphically_equivalent,
     naive_homomorphisms,
 )
 from repro.query import CompiledQuery, estimate_extension, order_atoms_cost, order_for
@@ -114,10 +113,7 @@ class TestAnswerEquivalence:
             oracle = oracle_answer_set(
                 query.answer_variables, query.atoms, grown
             )
-            cost = set(query.answers(grown, policy="cost"))
-            heuristic = set(query.answers(grown, policy="heuristic"))
-            assert cost == oracle
-            assert heuristic == oracle
+            assert set(query.answers(grown)) == oracle
 
     @pytest.mark.parametrize("seed", range(6))
     def test_planner_answers_match_oracle_with_skolem_terms(self, seed):
@@ -161,11 +157,10 @@ class TestAnswerEquivalence:
             (Constant("a"),), (Constant("b"),)
         ]
 
-    def test_boolean_holds_in_both_policies(self):
+    def test_boolean_holds_in(self):
         inst = Instance([atom("p", "a")])
         query = ConjunctiveQuery([], [atom("p", "X")])
-        assert query.holds_in(inst, policy="cost")
-        assert query.holds_in(inst, policy="heuristic")
+        assert query.holds_in(inst)
         missing = ConjunctiveQuery([], [atom("q", "X")])
         assert not missing.holds_in(inst)
 
@@ -301,11 +296,6 @@ class TestCostOrdering:
         est = estimate_extension(inst, atom("e", "X", "X"), frozenset())
         assert est == pytest.approx(3.0)
 
-    def test_order_for_rejects_unknown_policy(self):
-        inst = Instance([atom("p", "a")])
-        with pytest.raises(ValueError):
-            order_for((atom("p", "X"),), inst, policy="nope")
-
     def test_order_for_is_deterministic_and_cached(self):
         inst = Instance([atom("e", "a", "b"), atom("p", "a")])
         atoms = (atom("e", "X", "Y"), atom("p", "X"))
@@ -338,38 +328,8 @@ class TestIsModel:
         assert is_model(sub, rules) == reference(sub, rules)
 
 
-class TestChaseCostPlanner:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_semi_oblivious_equal_up_to_null_renaming(self, seed):
-        rng = random.Random(seed + 2000)
-        rules, preds, consts = _random_program(rng)
-        db = Database()
-        for _ in range(rng.randint(3, 6)):
-            pred = rng.choice(preds)
-            db.add(Atom(pred, [rng.choice(consts)
-                               for _ in range(pred.arity)]))
-        heuristic = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
-                              max_steps=200)
-        cost = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
-                         max_steps=200, planner="cost")
-        # Same trigger set -> same step count and fact count; results
-        # may differ only by null renaming (isomorphic instances embed
-        # into each other).
-        assert cost.terminated == heuristic.terminated
-        assert cost.step_count == heuristic.step_count
-        assert len(cost.instance) == len(heuristic.instance)
-        assert is_homomorphically_equivalent(
-            cost.instance, heuristic.instance
-        )
-
-    def test_rejects_unknown_planner(self):
-        db = Database([atom("p", "a")])
-        with pytest.raises(ValueError):
-            run_chase(db, [], planner="nope")
-
-
-class TestQueryPolicyAgreement:
-    def test_handwritten_join_all_policies(self):
+class TestHandwrittenJoin:
+    def test_answers_match_oracle(self):
         inst = Instance([
             atom("e", "a", "b"), atom("e", "b", "c"), atom("e", "c", "a"),
             atom("e", "a", "a"),
@@ -379,10 +339,114 @@ class TestQueryPolicyAgreement:
             [X, Z], [atom("e", "X", "Y"), atom("e", "Y", "Z")]
         )
         oracle = oracle_answer_set(query.answer_variables, query.atoms, inst)
-        assert set(query.answers(inst, policy="cost")) == oracle
-        assert set(query.answers(inst, policy="heuristic")) == oracle
+        assert set(query.answers(inst)) == oracle
         certain = {
             a for a in oracle
             if not any(isinstance(t, Null) for t in a)
         }
         assert set(query.certain_answers(inst)) == certain
+
+
+def _removed_order_keywords():
+    """``(name, call, keyword)`` for every keyword that once chose a
+    join order (or, for ``run_chase``, a null numbering); each
+    ``call(**kwargs)`` forwards to the public surface."""
+    from repro.chase import (
+        ChaseSession,
+        oblivious_chase,
+        restricted_chase,
+        semi_oblivious_chase,
+    )
+    from repro.entailment import entails_atom, looping_operator
+    from repro.entailment.atoms import saturated_facts
+    from repro.serve import ChaseService
+    from repro.termination import (
+        TypeAnalysis,
+        decide_guarded,
+        decide_termination,
+        termination_report,
+    )
+    from repro.termination.abstraction import pattern_homomorphisms
+
+    rules = [TGD([atom("p", "X")], [atom("q", "X")])]
+    db = Database([atom("p", "a")])
+    inst = Instance([atom("p", "a")])
+    body = (atom("p", "X"),)
+    query = ConjunctiveQuery([X], list(body))
+    so = ChaseVariant.SEMI_OBLIVIOUS
+    return [
+        ("run_chase(planner=)",
+         lambda **kw: run_chase(db, rules, **kw), "planner"),
+        ("run_chase(null_factory=)",
+         lambda **kw: run_chase(db, rules, **kw), "null_factory"),
+        ("oblivious_chase(planner=)",
+         lambda **kw: oblivious_chase(db, rules, **kw), "planner"),
+        ("semi_oblivious_chase(planner=)",
+         lambda **kw: semi_oblivious_chase(db, rules, **kw), "planner"),
+        ("restricted_chase(planner=)",
+         lambda **kw: restricted_chase(db, rules, **kw), "planner"),
+        ("ChaseSession.start(planner=)",
+         lambda **kw: ChaseSession.start(db, rules, **kw), "planner"),
+        ("decide_termination(order_policy=)",
+         lambda **kw: decide_termination(rules, **kw), "order_policy"),
+        ("decide_guarded(order_policy=)",
+         lambda **kw: decide_guarded(rules, so, **kw), "order_policy"),
+        ("TypeAnalysis(order_policy=)",
+         lambda **kw: TypeAnalysis(rules, **kw), "order_policy"),
+        ("termination_report(order_policy=)",
+         lambda **kw: termination_report(rules, **kw), "order_policy"),
+        ("entails_atom(order_policy=)",
+         lambda **kw: entails_atom(rules, db, atom("q", "a"), **kw),
+         "order_policy"),
+        ("saturated_facts(order_policy=)",
+         lambda **kw: saturated_facts(rules, db, **kw), "order_policy"),
+        ("looping_operator(order_policy=)",
+         lambda **kw: looping_operator(
+             rules, db, Predicate("goal", 0), **kw),
+         "order_policy"),
+        ("order_for(policy=)",
+         lambda **kw: order_for(body, inst, **kw), "policy"),
+        ("CompiledQuery(policy=)",
+         lambda **kw: CompiledQuery([X], body, **kw), "policy"),
+        ("ConjunctiveQuery.compiled(policy=)",
+         lambda **kw: query.compiled(**kw), "policy"),
+        ("ConjunctiveQuery.answers(policy=)",
+         lambda **kw: query.answers(inst, **kw), "policy"),
+        ("ConjunctiveQuery.certain_answers(policy=)",
+         lambda **kw: query.certain_answers(inst, **kw), "policy"),
+        ("ConjunctiveQuery.holds_in(policy=)",
+         lambda **kw: query.holds_in(inst, **kw), "policy"),
+        ("pattern_homomorphisms(policy=)",
+         lambda **kw: list(pattern_homomorphisms(body, frozenset(), {},
+                                                 **kw)),
+         "policy"),
+        ("is_model(policy=)",
+         lambda **kw: is_model(inst, rules, **kw), "policy"),
+        ("ChaseService.query(policy=)",
+         lambda **kw: ChaseService().query("q(X) :- p(X)", **kw),
+         "policy"),
+    ]
+
+
+class TestOneJoinOrder:
+    """Every job has one join order, so no parameter selects another:
+    the removed keywords are plain ``TypeError``s, not aliases."""
+
+    @pytest.mark.parametrize("call,keyword", [
+        pytest.param(call, keyword, id=name)
+        for name, call, keyword in _removed_order_keywords()
+    ])
+    def test_removed_keyword_raises_type_error(self, call, keyword):
+        value = None if keyword == "null_factory" else "heuristic"
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: value})
+
+    def test_no_selection_state_left(self):
+        import repro.query
+        from repro.chase import ChaseSession
+
+        assert not hasattr(repro.query, "ORDER_POLICIES")
+        assert "order_policy" not in Instance.__slots__
+        assert "planner" not in ChaseSession.__slots__
+        with pytest.raises(AttributeError):
+            Instance().order_policy = "cost"

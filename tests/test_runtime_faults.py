@@ -26,7 +26,13 @@ from repro.errors import BudgetExceededError
 from repro.parser import parse_database, parse_fact, parse_program
 from repro.runtime import Budget, CancelToken
 from repro.runtime.faults import ENV_VAR
-from repro.termination import decide_guarded, is_mfa, skolem_chase
+from repro.classes import narrowest_class
+from repro.termination import (
+    decide_guarded,
+    decide_termination,
+    is_mfa,
+    skolem_chase,
+)
 
 DIVERGING = "person(X) -> exists Y . father(X, Y), person(Y)"
 DIVERGING_DB = "person(bob)"
@@ -223,6 +229,21 @@ class TestCancellation:
         with pytest.raises(BudgetExceededError) as info:
             decide_guarded(rules, ChaseVariant.SEMI_OBLIVIOUS,
                            budget=Budget(cancel=cancelled()))
+        assert info.value.stop_reason == "cancelled"
+
+    @pytest.mark.parametrize("method", ["auto", "linear"])
+    def test_pre_cancelled_linear_decider_raises(self, method):
+        # A linear (not simple-linear) chain: the repeated variable
+        # sends auto dispatch to the Theorem 2 decider.
+        rules = parse_program(
+            "q(X, X) -> p1(X, X)\n"
+            "p1(X, Y) -> exists Z . p2(Y, Z)\n"
+            "p2(X, Y) -> exists Z . p3(Y, Z)"
+        )
+        assert narrowest_class(rules) == "linear"
+        with pytest.raises(BudgetExceededError) as info:
+            decide_termination(rules, method=method,
+                               budget=Budget(cancel=cancelled()))
         assert info.value.stop_reason == "cancelled"
 
 class TestRaisingSurfaces:

@@ -355,6 +355,12 @@ def test_http_end_to_end():
             {"query": "q(X, Y) :- p(X, Y)"},
         )
         assert status == 200 and out["count"] == 3
+        # No field selects a join order; an unknown one is ignored.
+        status, ignored = _request(
+            host, port, "POST", "/query",
+            {"query": "q(X, Y) :- p(X, Y)", "policy": "bogus"},
+        )
+        assert status == 200 and ignored["answers"] == out["answers"]
 
         status, out = _request(
             host, port, "POST", "/entail", {"atom": "p(n0, n2)"}
