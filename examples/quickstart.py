@@ -12,11 +12,12 @@ Run:  python examples/quickstart.py
 """
 
 from repro import (
+    ChaseVariant,
     decide_termination,
     parse_database,
     parse_program,
     rule_to_text,
-    semi_oblivious_chase,
+    run_chase,
 )
 
 
@@ -31,7 +32,9 @@ def main() -> None:
         print("rule:", rule_to_text(rule))
 
     database = parse_database("person(bob)")
-    result = semi_oblivious_chase(database, rules, max_steps=6)
+    result = run_chase(
+        database, rules, ChaseVariant.SEMI_OBLIVIOUS, max_steps=6
+    )
     print(f"\nchase prefix after {result.step_count} steps "
           f"({'fixpoint' if result.terminated else 'budget exhausted'}):")
     for fact in result.instance:

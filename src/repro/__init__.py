@@ -87,7 +87,6 @@ __all__ = [
     "is_richly_acyclic",
     "is_weakly_acyclic",
     "narrowest_class",
-    "oblivious_chase",
     "open_instance",
     "parse_atom",
     "parse_database",
@@ -95,11 +94,9 @@ __all__ = [
     "parse_query",
     "parse_rule",
     "program_to_text",
-    "restricted_chase",
     "resume_chase",
     "rule_to_text",
     "run_chase",
-    "semi_oblivious_chase",
     "standard_critical_instance",
 ]
 
@@ -110,11 +107,8 @@ __getattr__, __dir__ = _lazy.lazy_exports(__name__, {
         "ChaseVariant",
         "critical_instance",
         "extend_chase",
-        "oblivious_chase",
-        "restricted_chase",
         "resume_chase",
         "run_chase",
-        "semi_oblivious_chase",
         "standard_critical_instance",
     ),
     ".classes": ("classify", "narrowest_class"),

@@ -29,12 +29,9 @@ __all__ = [
     "extend_chase",
     "head_satisfied",
     "load_state",
-    "oblivious_chase",
     "resource_stats",
-    "restricted_chase",
     "resume_chase",
     "run_chase",
-    "semi_oblivious_chase",
     "standard_critical_instance",
     "triggers_for_rule",
 ]
@@ -55,12 +52,9 @@ __getattr__, __dir__ = _lazy.lazy_exports(__name__, {
     ".incremental": ("ChaseSession", "extend_chase"),
     ".engine": (
         "DEFAULT_MAX_STEPS",
-        "oblivious_chase",
         "resource_stats",
-        "restricted_chase",
         "resume_chase",
         "run_chase",
-        "semi_oblivious_chase",
     ),
     ".result": ("ChaseResult", "ChaseStep"),
     ".triggers": (

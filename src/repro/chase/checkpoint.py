@@ -133,9 +133,12 @@ class Checkpointer:
                    state=state)
 
     def set_max_steps(self, max_steps: int) -> None:
-        """Raise (or change) the recorded step budget — an extension
-        leg that continues a finished or budget-stopped run persists
-        its new cap so a later ``resume_chase`` sees it."""
+        """Raise (or change) the step budget that the next checkpoint
+        records — an extension leg that continues a finished or
+        budget-stopped run sets its new cap here so that a later
+        ``resume_chase`` sees it.  A leg that checkpoints nothing (an
+        all-duplicate delta on a finished run) leaves the header's cap
+        as it was."""
         self.max_steps = max_steps
 
     def checkpoint(

@@ -38,7 +38,6 @@ Two pieces live here:
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -204,12 +203,11 @@ class DeltaEngine:
       ever handed out, so historical triggers are neither re-discovered
       nor re-keyed round after round.
 
-    ``key`` maps a trigger to its identification key (typically
-    ``Trigger.key(variant)``); a trigger whose key was already handed
-    out is dropped at discovery time, so each round is a duplicate-free
-    materialized batch.  Protocol::
+    A trigger is identified by its ``Trigger.key(variant)``; one whose
+    key was already handed out is dropped at discovery time, so each
+    round is a duplicate-free materialized batch.  Protocol::
 
-        engine = DeltaEngine(rules, instance, key=...)
+        engine = DeltaEngine(rules, instance, variant)
         while True:
             triggers = engine.next_round()    # materialized, deduped
             if not triggers:
@@ -231,7 +229,7 @@ class DeltaEngine:
     """
 
     __slots__ = ("rules", "instance", "fired", "budget", "fired_log",
-                 "_key", "_frontier", "_variant")
+                 "_frontier", "_variant")
 
     #: Budget-check cadence inside a round's discovery/dedup loop.
     BUDGET_CHECK_EVERY = 2048
@@ -240,8 +238,7 @@ class DeltaEngine:
         self,
         rules: Sequence[TGD],
         instance: Instance,
-        key: Callable[[Trigger], Hashable],
-        variant: Optional[str] = None,
+        variant: str,
         budget=None,
         fired: Optional[Set[Hashable]] = None,
         frontier: Optional[Sequence[FrontierFact]] = None,
@@ -253,10 +250,6 @@ class DeltaEngine:
         # already-handed-out keys and the ordinals still awaiting a
         # discovery pass, exactly as persisted at the round boundary.
         self.fired: Set[Hashable] = set() if fired is None else fired
-        self._key = key
-        # When the key policy is a plain chase variant, the dedup loop
-        # computes interned-form keys inline (no per-trigger lambda /
-        # method dispatch); ``key`` remains the general fallback.
         self._variant = variant
         self.budget = budget
         #: When not None, every key newly added to ``fired`` is also
@@ -324,48 +317,26 @@ class DeltaEngine:
         # pays one decrement-and-test per discovery, which is what
         # keeps the governed paired gate honest.
         check_in = check_every if budget is not None else -1
-        variant = self._variant
+        # Keys are computed inline, as ``Trigger.key(variant)`` computes
+        # them for the interned triggers discovery yields.
+        semi = self._variant == ChaseVariant.SEMI_OBLIVIOUS
         try:
-            if variant is not None:
-                semi = variant == ChaseVariant.SEMI_OBLIVIOUS
-                for trigger in discovered:
-                    check_in -= 1
-                    if not check_in:
-                        check_in = check_every
-                        budget.raise_if_exceeded(
-                            facts=len(self.instance)
-                        )
-                    ids = trigger._ids
-                    if ids is None:
-                        k: Hashable = trigger.key(variant)
-                    elif semi:
-                        get = trigger.rule._frontier_get
-                        k = (
-                            trigger.rule_index,
-                            ids if get is None else get(ids),
-                        )
-                    else:
-                        k = (trigger.rule_index, ids)
-                    if k in fired:
-                        continue
-                    fired.add(k)
-                    new_keys.append(k)
-                    out.append(trigger)
-            else:
-                key = self._key
-                for trigger in discovered:
-                    check_in -= 1
-                    if not check_in:
-                        check_in = check_every
-                        budget.raise_if_exceeded(
-                            facts=len(self.instance)
-                        )
-                    k = key(trigger)
-                    if k in fired:
-                        continue
-                    fired.add(k)
-                    new_keys.append(k)
-                    out.append(trigger)
+            for trigger in discovered:
+                check_in -= 1
+                if not check_in:
+                    check_in = check_every
+                    budget.raise_if_exceeded(facts=len(self.instance))
+                ids = trigger._ids
+                if semi:
+                    get = trigger.rule._frontier_get
+                    k = (trigger.rule_index, ids if get is None else get(ids))
+                else:
+                    k = (trigger.rule_index, ids)
+                if k in fired:
+                    continue
+                fired.add(k)
+                new_keys.append(k)
+                out.append(trigger)
         except BudgetExceededError:
             # An aborted pass hands out nothing, so un-mark its keys
             # and restore the frontier: discovery is a pure read, and

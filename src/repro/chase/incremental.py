@@ -1,8 +1,9 @@
 """Incremental chase maintenance: a long-lived chase you can extend.
 
 The one-shot entry points (:func:`~repro.chase.engine.run_chase`,
-:func:`~repro.chase.engine.resume_chase`) tear down their evaluation
-state when they return.  A :class:`ChaseSession` keeps it alive — the
+:func:`~repro.chase.engine.resume_chase`) drive one leg of the
+engine's run class and drop it when they return.  A
+:class:`ChaseSession` is that same run kept alive — the
 :class:`~repro.chase.delta.DeltaEngine` with its persistent fired-key
 set and frontier, the null counter, the step log, and (optionally)
 the checkpointer — so that when new *base facts* arrive
@@ -47,18 +48,18 @@ on exactly this.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence
 
-from ..model import Atom, Instance, NullFactory, TGD, validate_program
+from ..model import Atom, Instance, TGD
 from ..model.instances import SnapshotInstance
-from ..runtime.budget import STOP_FIXPOINT, Budget
-from .delta import DeltaEngine, ingest_facts
-from .engine import DEFAULT_MAX_STEPS, _drive
-from .result import ChaseResult, ChaseStep
-from .triggers import ChaseVariant, Trigger
+from ..runtime.budget import Budget
+from .delta import ingest_facts
+from .engine import DEFAULT_MAX_STEPS, _ChaseRun
+from .result import ChaseResult
+from .triggers import ChaseVariant
 
 
-class ChaseSession:
+class ChaseSession(_ChaseRun):
     """A resident chase: run once, then extend with base-fact deltas.
 
     Create with :meth:`start` (fresh database) or :meth:`resume`
@@ -81,28 +82,12 @@ class ChaseSession:
     continues byte-identically.
     """
 
-    __slots__ = (
-        "instance", "rules", "variant", "max_steps",
-        "result",
-        "_engine", "_factory", "_steps", "_ckpt", "_checkpoint_every",
-        "_pending", "_rounds", "_terminated", "_stop_reason",
-        "_closed",
-    )
+    __slots__ = ("_closed",)
 
     def __init__(self):
         raise TypeError(
             "use ChaseSession.start(...) or ChaseSession.resume(...)"
         )
-
-    @classmethod
-    def _blank(cls) -> "ChaseSession":
-        session = cls.__new__(cls)
-        session._pending: Tuple[Trigger, ...] = ()
-        session._rounds = 0
-        session._terminated = False
-        session._stop_reason: Optional[str] = None
-        session._closed = False
-        return session
 
     # -- construction --------------------------------------------------------
 
@@ -118,7 +103,6 @@ class ChaseSession:
         budget: Optional[Budget] = None,
         save: Optional[str] = None,
         overwrite: bool = False,
-        checkpoint_every: int = 1,
     ) -> "ChaseSession":
         """Chase ``database`` with ``rules`` and keep the run resident.
 
@@ -128,52 +112,9 @@ class ChaseSession:
         governs this initial leg only — each :meth:`extend` takes its
         own.
         """
-        if variant not in ChaseVariant.ALL:
-            raise ValueError(f"unknown chase variant {variant!r}")
-        if max_steps <= 0:
-            raise ValueError(
-                f"max_steps must be positive, got {max_steps}"
-            )
-        from ..query.kernels import KERNELS
-
-        if kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {kernel!r}")
-        if save is not None and checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be positive, "
-                f"got {checkpoint_every}"
-            )
-        rules = list(rules)
-        validate_program(rules)
-        session = cls._blank()
-        session.rules = rules
-        session.variant = variant
-        session.max_steps = max_steps
-        session._checkpoint_every = checkpoint_every
-        instance = Instance(database)
-        instance.kernel = kernel
-        session.instance = instance
-        session._factory = NullFactory()
-        session._steps = []
-        if budget is not None:
-            budget.start()
-        session._engine = DeltaEngine(
-            rules,
-            instance,
-            key=lambda trigger: trigger.key(variant),
-            variant=variant,
-            budget=budget,
-        )
-        session._ckpt = None
-        if save is not None:
-            from .checkpoint import Checkpointer
-
-            session._engine.track_fired()
-            session._ckpt = Checkpointer.create(
-                save, instance, rules, variant, max_steps,
-                overwrite=overwrite,
-            )
-            session._ckpt.checkpoint(session._engine, session._steps)
+        session = cls._fresh(database, rules, variant, max_steps, kernel,
+                             budget, save, overwrite)
+        session._closed = False
         session._run_leg(budget)
         return session
 
@@ -185,7 +126,6 @@ class ChaseSession:
         budget: Optional[Budget] = None,
         max_steps: Optional[int] = None,
         save: bool = True,
-        checkpoint_every: int = 1,
     ) -> "ChaseSession":
         """Reopen a checkpointed store directory as a resident session.
 
@@ -195,90 +135,14 @@ class ChaseSession:
         :meth:`extend`.  An unfinished store is first driven to its
         stop (under ``budget``), exactly like ``resume_chase``.
         """
-        from ..storage.durable import open_store
-        from .checkpoint import Checkpointer, load_state
-
-        store = open_store(path)
-        state = load_state(path, store)
-        rules = list(state["rules"])
-        session = cls._blank()
-        session.rules = rules
-        session.variant = state["variant"]
-        session.max_steps = (
-            state["max_steps"] if max_steps is None else max_steps
-        )
-        session._checkpoint_every = checkpoint_every
-        store.ensure_all()
-        instance = Instance(store=store)
-        session.instance = instance
-        session._factory = NullFactory(start=state["null_next"])
-        session._steps = [
-            ChaseStep(
-                Trigger.from_ids(rules[ri], ri, ids, instance),
-                instance, ords,
-            )
-            for ri, ids, ords in state["steps"]
-        ]
-        if budget is not None:
-            budget.start()
-        session._engine = DeltaEngine(
-            rules,
-            instance,
-            key=lambda trigger: trigger.key(session.variant),
-            variant=session.variant,
-            budget=budget,
-            fired=state["fired"],
-            frontier=state["frontier"],
-        )
-        session._ckpt = None
-        if save:
-            session._engine.track_fired()
-            session._ckpt = Checkpointer.attach(
-                path, instance, state, session.max_steps
-            )
-        session._pending = tuple(
-            Trigger.from_ids(rules[ri], ri, tuple(ids), instance)
-            for ri, ids in state["pending"]
-        )
-        session._rounds = state["rounds"]
-        if state["terminated"]:
-            # Nothing to drive; the resident state is the finished
-            # run, ready for extension legs.
-            session._terminated = True
-            session._stop_reason = (
-                state["stop_reason"] or STOP_FIXPOINT
-            )
-            session.result = ChaseResult(
-                instance, True, session._steps, session.variant,
-                session.max_steps,
-                stop_reason=session._stop_reason,
-            )
-        else:
+        session = cls._stored(path, budget=budget, max_steps=max_steps,
+                              save=save)
+        session._closed = False
+        if not session._terminated:
             session._run_leg(budget)
         return session
 
     # -- the legs ------------------------------------------------------------
-
-    def _run_leg(self, budget: Optional[Budget]) -> ChaseResult:
-        """Drive the resident engine to its next stop, updating the
-        session's leftover state in place."""
-        self._engine.budget = budget
-        sink: dict = {}
-        result = _drive(
-            self.instance, self.rules, self.variant, self.max_steps,
-            self._factory, budget, self._engine, self._steps,
-            ckpt=self._ckpt,
-            checkpoint_every=self._checkpoint_every,
-            pending=self._pending,
-            rounds_done=self._rounds,
-            state_sink=sink,
-        )
-        self._pending = sink["pending"]
-        self._rounds = sink["rounds"]
-        self._terminated = sink["terminated"]
-        self._stop_reason = sink["stop_reason"]
-        self.result = result
-        return result
 
     def extend(
         self,
@@ -383,7 +247,6 @@ def extend_chase(
     *,
     budget: Optional[Budget] = None,
     max_steps: Optional[int] = None,
-    checkpoint_every: int = 1,
 ) -> ChaseResult:
     """One-shot incremental leg over a checkpointed store directory:
     open, ingest ``facts``, chase the delta to its stop, checkpoint,
@@ -398,6 +261,5 @@ def extend_chase(
     """
     with ChaseSession.resume(
         path, budget=budget, max_steps=max_steps,
-        checkpoint_every=checkpoint_every,
     ) as session:
         return session.extend(facts, budget=budget)

@@ -209,10 +209,18 @@ def _chase_summary(variant: str, result) -> None:
 def _cmd_chase(args) -> int:
     budget = _budget_from(args)
     if args.resume is not None:
-        if args.save is not None:
+        # The store fixes the run's variant, kernel and directory.
+        given = [
+            flag for flag, value in (
+                ("--save", args.save), ("--variant", args.variant),
+                ("--kernel", args.kernel), ("--overwrite", args.overwrite),
+            )
+            if value not in (None, False)
+        ]
+        if given:
             raise ValueError(
-                "--resume continues its own store; --save is for "
-                "fresh runs"
+                f"--resume continues its own store; {', '.join(given)} "
+                f"only apply to fresh runs"
             )
         rules = _load_rules(args.rules) if args.rules else None
         # A bare --resume must make progress after a step_budget stop,
@@ -224,7 +232,6 @@ def _cmd_chase(args) -> int:
                 args.resume, rules,
                 max_steps=max_steps, budget=budget,
                 save=not args.no_save,
-                checkpoint_every=args.checkpoint_every,
             )
         _chase_summary(result.variant, result)
         print(instance_to_text(result.instance))
@@ -233,14 +240,13 @@ def _cmd_chase(args) -> int:
         raise ValueError("chase needs RULES and DB (or --resume DIR)")
     rules = _load_rules(args.rules)
     database = _load_database(args.database)
-    variant = _VARIANTS[args.variant]
+    variant = _VARIANTS[args.variant or "r"]
     max_steps = args.max_steps if args.max_steps is not None else 10_000
     with _sigint_cancels(budget):
         result = run_chase(
             database, rules, variant, max_steps=max_steps,
-            kernel=args.kernel, budget=budget,
+            kernel=args.kernel or "tuple", budget=budget,
             save=args.save, overwrite=args.overwrite,
-            checkpoint_every=args.checkpoint_every,
         )
     _chase_summary(variant, result)
     if args.save is not None and result.stop_reason != "fixpoint":
@@ -523,8 +529,10 @@ def _cmd_serve(args) -> int:
 
 
 def _add_kernel_flag(
-    parser: argparse.ArgumentParser, default: str = "tuple"
+    parser: argparse.ArgumentParser, default: Optional[str] = "tuple"
 ) -> None:
+    """``--kernel``; ``default=None`` lets the command tell a given
+    flag from the default, which it then resolves to ``tuple``."""
     parser.add_argument(
         "--kernel", choices=("tuple", "vector", "wcoj", "auto"),
         default=default,
@@ -532,7 +540,7 @@ def _add_kernel_flag(
              "one-binding-at-a-time, 'vector' runs columnar batch "
              "hash joins, 'wcoj' the leapfrog worst-case-optimal "
              "join, 'auto' picks per query/round from the statistics "
-             f"(default: {default})")
+             "(default: tuple)")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -574,7 +582,9 @@ def _add_check(check: argparse.ArgumentParser) -> None:
 def _add_chase(chase: argparse.ArgumentParser) -> None:
     chase.add_argument("rules", nargs="?", default=None)
     chase.add_argument("database", nargs="?", default=None)
-    chase.add_argument("--variant", choices=sorted(_VARIANTS), default="r")
+    # --variant and --kernel default to None so that --resume can
+    # refuse them; fresh runs resolve None to r and tuple.
+    chase.add_argument("--variant", choices=sorted(_VARIANTS), default=None)
     chase.add_argument("--max-steps", type=int, default=None,
                        help="total trigger-application budget, counting "
                             "steps taken before a --resume (default "
@@ -585,10 +595,6 @@ def _add_chase(chase: argparse.ArgumentParser) -> None:
                             "non-fixpoint stop)")
     chase.add_argument("--overwrite", action="store_true",
                        help="with --save, replace an existing store")
-    chase.add_argument("--checkpoint-every", type=int, default=1,
-                       metavar="N", help="checkpoint every N rounds "
-                                         "(default 1; stops always "
-                                         "checkpoint)")
     chase.add_argument("--resume", metavar="DIR", default=None,
                        help="continue a checkpointed run from DIR "
                             "(RULES/DB come from the store; RULES may "
@@ -596,7 +602,7 @@ def _add_chase(chase: argparse.ArgumentParser) -> None:
     chase.add_argument("--no-save", action="store_true",
                        help="with --resume, continue in memory without "
                             "advancing the on-disk checkpoint")
-    _add_kernel_flag(chase)
+    _add_kernel_flag(chase, default=None)
     _add_budget_flags(chase)
     chase.set_defaults(func=_cmd_chase)
 

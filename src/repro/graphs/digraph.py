@@ -67,9 +67,6 @@ class Digraph(Generic[N]):
     def out_edges(self, node: N) -> Tuple[Edge[N], ...]:
         return tuple(self._succ.get(node, ()))
 
-    def successors(self, node: N) -> Tuple[N, ...]:
-        return tuple(e.target for e in self._succ.get(node, ()))
-
     def __contains__(self, node: object) -> bool:
         return node in self._nodes
 

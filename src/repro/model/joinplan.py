@@ -388,13 +388,6 @@ cached: they would pin large execs and, on hitting the entry cap,
 evict every small hot exec at once."""
 
 
-def resolve_step(instance: Instance, atom: Atom,
-                 slot_env: Dict[Variable, int]) -> ResolvedStep:
-    """Resolve one atom against ``instance``'s id space, assigning new
-    slots into ``slot_env`` for unseen variables."""
-    return ResolvedStep(instance, atom, slot_env)
-
-
 def resolve_exec(
     instance: Instance, ordered_atoms: Sequence[Atom]
 ) -> PlanExec:

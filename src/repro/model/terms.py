@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Tuple, Union
+from typing import Dict, Union
 
 
 class Constant:
@@ -179,12 +179,6 @@ def intern_variable(name: str) -> Variable:
                 term = Variable(name)
                 table[name] = term
     return term
-
-
-def intern_table_sizes() -> Tuple[int, int]:
-    """``(constants, variables)`` currently interned — for tests and
-    memory diagnostics."""
-    return len(_CONSTANT_INTERN), len(_VARIABLE_INTERN)
 
 
 class NullFactory:

@@ -29,7 +29,9 @@ single-writer ingest lock, admission gate).  Error mapping:
 :class:`ServiceError` → its status, parse/validation errors → 400, a
 tripped request budget (:class:`~repro.errors.BudgetExceededError`) →
 503 with the stop reason, unknown path → 404; body fields an endpoint
-does not list are ignored.  A shed request
+does not list are ignored.  A listed field of the wrong JSON type is a
+400 naming it: ``certain`` must be a boolean, ``max_steps`` an integer
+and ``timeout_s`` a number (``true`` is neither).  A shed request
 (:class:`~repro.serve.admission.OverloadError`) maps to 429/503 with a
 ``Retry-After`` header and a ``retry_after_s`` payload field.
 
@@ -292,7 +294,7 @@ class ChaseServer:
                 self.service.query,
                 text,
                 resident=payload.get("resident"),
-                certain=bool(payload.get("certain", False)),
+                certain=payload.get("certain", False),
                 kernel=payload.get("kernel"),
                 timeout_s=payload.get("timeout_s"),
             )

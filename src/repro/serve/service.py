@@ -363,9 +363,13 @@ class ChaseService:
         cap = self.request_timeout_s
         if timeout_s is None:
             timeout_s = cap
-        elif timeout_s != timeout_s or timeout_s <= 0:  # NaN or <= 0
+        elif (
+            isinstance(timeout_s, bool)
+            or not isinstance(timeout_s, (int, float))
+            or not timeout_s > 0  # NaN or <= 0
+        ):
             raise ServiceError(
-                f"timeout_s must be positive, got {timeout_s}"
+                f"timeout_s must be a positive number, got {timeout_s!r}"
             )
         elif cap is not None:
             timeout_s = min(timeout_s, cap)
@@ -417,6 +421,10 @@ class ChaseService:
                 raise ServiceError(
                     f"unknown kernel {kernel!r}; expected one of "
                     f"{list(KERNELS)}"
+                )
+            if not isinstance(certain, bool):
+                raise ServiceError(
+                    f"certain must be a boolean, got {certain!r}"
                 )
             try:
                 query = parse_query(text)
@@ -551,7 +559,9 @@ class ChaseService:
                     status=503,
                 )
             if max_steps is not None and (
-                not isinstance(max_steps, int) or max_steps <= 0
+                isinstance(max_steps, bool)
+                or not isinstance(max_steps, int)
+                or max_steps <= 0
             ):
                 raise ServiceError(
                     f"max_steps must be a positive integer, "

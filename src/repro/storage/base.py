@@ -31,7 +31,7 @@ Two invariants make the split invisible to the join engine:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..model.atoms import Predicate
 from ..model.symbols import SymbolTable
@@ -243,19 +243,6 @@ class FactStore:
         out.pos_card = dict(self.pos_card)
         out.domain_ids = dict(self.domain_ids)
         return out
-
-    def bulk_load(
-        self,
-        pred_pairs: Iterable[Tuple[Predicate, int]],
-        log_pids: Iterable[int],
-        rows: Iterable[Row],
-    ) -> None:
-        """Rebuild from a (pids, rows) log stream — the slow generic
-        loader shared by tests and tools."""
-        for pred, pid in pred_pairs:
-            self.prime_predicate(pred, pid)
-        for pid, row in zip(log_pids, rows):
-            self.add_row(pid, row)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(<{self.size()} facts>)"

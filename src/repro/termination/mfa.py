@@ -154,11 +154,7 @@ def skolem_chase(
     if budget is not None:
         budget.start()
     engine = DeltaEngine(
-        rules,
-        instance,
-        key=lambda trigger: trigger.key(ChaseVariant.SEMI_OBLIVIOUS),
-        variant=ChaseVariant.SEMI_OBLIVIOUS,
-        budget=budget,
+        rules, instance, ChaseVariant.SEMI_OBLIVIOUS, budget=budget
     )
     steps = 0
     decode = instance.symbols.obj

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.chase import (
-    ChaseVariant,
-    oblivious_chase,
-    restricted_chase,
-    run_chase,
-    semi_oblivious_chase,
-)
+from repro.chase import ChaseVariant, run_chase
 from repro.chase.triggers import Trigger, apply_trigger
 from repro.cq import is_model_of, is_universal_for
 from repro.model import Instance, NullFactory, match_atom, naive_homomorphisms
@@ -32,18 +26,66 @@ class TestBasics:
 
     def test_database_not_mutated(self):
         db = parse_database("person(bob)")
-        semi_oblivious_chase(db, EX1, max_steps=5)
+        run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=5)
         assert len(db) == 1
 
     def test_empty_database_trivially_terminates(self):
-        result = semi_oblivious_chase(Instance(), EX1)
+        result = run_chase(Instance(), EX1, ChaseVariant.SEMI_OBLIVIOUS)
         assert result.terminated
         assert result.step_count == 0
 
     def test_empty_rules_terminate(self):
-        result = semi_oblivious_chase(parse_database("p(a)"), [])
+        result = run_chase(
+            parse_database("p(a)"), [], ChaseVariant.SEMI_OBLIVIOUS
+        )
         assert result.terminated
         assert len(result.instance) == 1
+
+
+def _checkpoint_cadence_calls(tmp_path):
+    """Every function that once took ``checkpoint_every``, by name;
+    each ``call(**kwargs)`` forwards to it."""
+    from repro.chase import ChaseSession, extend_chase, resume_chase
+
+    db = parse_database("person(bob)")
+    store = str(tmp_path / "stopped")
+    run_chase(db, EX1, max_steps=3, save=store)
+    return {
+        "run_chase": lambda **kw: run_chase(
+            db, EX1, max_steps=3, save=str(tmp_path / "fresh"), **kw),
+        "resume_chase": lambda **kw: resume_chase(store, **kw),
+        "ChaseSession.start": lambda **kw: ChaseSession.start(
+            db, EX1, max_steps=3, **kw),
+        "ChaseSession.resume":
+            lambda **kw: ChaseSession.resume(store, **kw),
+        "extend_chase": lambda **kw: extend_chase(store, [], **kw),
+    }
+
+
+class TestOneDriver:
+    """Fresh, resumed and resident chases run through one driver: the
+    per-variant wrappers and the checkpoint cadence are gone."""
+
+    @pytest.mark.parametrize("module", ["repro.chase", "repro"])
+    @pytest.mark.parametrize(
+        "name",
+        ["oblivious_chase", "semi_oblivious_chase", "restricted_chase"],
+    )
+    def test_per_variant_wrapper_is_gone(self, module, name):
+        import importlib
+
+        assert name not in importlib.import_module(module).__all__
+        with pytest.raises(ImportError):
+            exec(f"from {module} import {name}", {})
+
+    @pytest.mark.parametrize("name", [
+        "run_chase", "resume_chase", "ChaseSession.start",
+        "ChaseSession.resume", "extend_chase",
+    ])
+    def test_checkpoint_every_raises_type_error(self, name, tmp_path):
+        call = _checkpoint_cadence_calls(tmp_path)[name]
+        with pytest.raises(TypeError, match="checkpoint_every"):
+            call(checkpoint_every=2)
 
 
 class TestExample1:
@@ -51,14 +93,14 @@ class TestExample1:
 
     def test_budget_exhaustion_reported(self):
         db = parse_database("person(bob)")
-        result = semi_oblivious_chase(db, EX1, max_steps=10)
+        result = run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=10)
         assert not result.terminated
         assert result.exhausted
         assert result.step_count == 10
 
     def test_prefix_shape(self):
         db = parse_database("person(bob)")
-        result = semi_oblivious_chase(db, EX1, max_steps=3)
+        result = run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=3)
         persons = result.instance.facts_with_predicate(
             EX1[0].body[0].predicate
         )
@@ -72,7 +114,7 @@ class TestExample1:
 
     def test_nulls_form_chain(self):
         db = parse_database("person(bob)")
-        result = semi_oblivious_chase(db, EX1, max_steps=4)
+        result = run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=4)
         chain = [
             f for f in result.instance if f.predicate.name == "hasFather"
         ]
@@ -89,7 +131,7 @@ class TestExample2:
 
     def test_instance_matches_paper_shape(self):
         db = parse_database("p(a, b)")
-        result = semi_oblivious_chase(db, EX2, max_steps=3)
+        result = run_chase(db, EX2, ChaseVariant.SEMI_OBLIVIOUS, max_steps=3)
         facts = sorted(str(f) for f in result.instance)
         assert "p(a, b)" in facts
         assert any("p(b, " in f for f in facts)
@@ -131,7 +173,7 @@ class TestTerminatingPrograms:
     def test_full_rules_terminate_on_any_database(self):
         rules = parse_program("e(X, Y) -> e(Y, X)\ne(X, Y), e(Y, Z) -> e(X, Z)")
         db = parse_database("e(a, b)\ne(b, c)")
-        result = semi_oblivious_chase(db, rules)
+        result = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
         assert result.terminated
         # transitive-symmetric closure over {a,b,c}
         assert len(result.instance) == 9
@@ -146,8 +188,8 @@ class TestVariantRelations:
         for rules_text, db_text in programs:
             rules = parse_program(rules_text)
             db = parse_database(db_text)
-            o = oblivious_chase(db, rules)
-            so = semi_oblivious_chase(db, rules)
+            o = run_chase(db, rules, ChaseVariant.OBLIVIOUS)
+            so = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
             assert so.terminated and o.terminated
             assert len(so.instance) <= len(o.instance)
             assert so.step_count <= o.step_count
@@ -155,8 +197,8 @@ class TestVariantRelations:
     def test_restricted_never_larger_than_semi_oblivious(self):
         rules = parse_program("p(X) -> exists Z . q(X, Z)")
         db = parse_database("p(a)\nq(a, b)")
-        so = semi_oblivious_chase(db, rules)
-        restricted = restricted_chase(db, rules)
+        so = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
+        restricted = run_chase(db, rules, ChaseVariant.RESTRICTED)
         assert restricted.terminated
         # q(a, b) already satisfies the head: restricted adds nothing.
         assert len(restricted.instance) == 2
@@ -165,8 +207,8 @@ class TestVariantRelations:
     def test_oblivious_fires_per_homomorphism(self):
         rules = parse_program("p(X, Y) -> exists Z . q(X, Z)")
         db = parse_database("p(a, b)\np(a, c)")
-        o = oblivious_chase(db, rules)
-        so = semi_oblivious_chase(db, rules)
+        o = run_chase(db, rules, ChaseVariant.OBLIVIOUS)
+        so = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
         q_pred = rules[0].head[0].predicate
         assert len(o.instance.facts_with_predicate(q_pred)) == 2
         assert len(so.instance.facts_with_predicate(q_pred)) == 1
@@ -176,7 +218,7 @@ class TestVariantRelations:
         # satisfied by the triggering atom itself.
         rules = parse_program("p(X, Y) -> exists Z . p(X, Z)")
         db = parse_database("p(a, b)")
-        restricted = restricted_chase(db, rules)
+        restricted = run_chase(db, rules, ChaseVariant.RESTRICTED)
         assert restricted.terminated
         assert len(restricted.instance) == 1
 
@@ -194,14 +236,16 @@ class TestRestrictedHeadCheck:
             "p(X) -> q(X, X)\np(X) -> exists Y . q(X, Y)"
         )
         db = parse_database("p(a)\np(b)")
-        restricted = restricted_chase(db, rules)
+        restricted = run_chase(db, rules, ChaseVariant.RESTRICTED)
         assert restricted.terminated
         assert restricted.step_count == 2
         assert restricted.instance.facts() == (
             atom("p", "a"), atom("p", "b"),
             atom("q", "a", "a"), atom("q", "b", "b"),
         )
-        assert semi_oblivious_chase(db, rules).step_count == 4
+        assert run_chase(
+            db, rules, ChaseVariant.SEMI_OBLIVIOUS
+        ).step_count == 4
 
     def test_head_unsatisfied_at_its_turn_fires(self):
         # Reversed rule order: the existential triggers come first and
@@ -211,18 +255,18 @@ class TestRestrictedHeadCheck:
             "p(X) -> exists Y . q(X, Y)\np(X) -> q(X, X)"
         )
         db = parse_database("p(a)\np(b)")
-        restricted = restricted_chase(db, rules)
+        restricted = run_chase(db, rules, ChaseVariant.RESTRICTED)
         assert restricted.terminated
         assert restricted.step_count == 4
         assert restricted.instance.facts() == \
-            semi_oblivious_chase(db, rules).instance.facts()
+            run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS).instance.facts()
 
 
 class TestFairnessAndDeterminism:
     def test_deterministic_across_runs(self):
         db = parse_database("person(bob)")
-        first = semi_oblivious_chase(db, EX1, max_steps=7)
-        second = semi_oblivious_chase(db, EX1, max_steps=7)
+        first = run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=7)
+        second = run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=7)
         assert first.instance == second.instance
 
     def test_every_applicable_trigger_eventually_fires(self):
@@ -234,19 +278,21 @@ class TestFairnessAndDeterminism:
             """
         )
         db = parse_database("a(k)")
-        result = semi_oblivious_chase(db, rules)
+        result = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
         assert result.terminated
         assert atom("d", "k") in result.instance
 
     def test_multi_head_all_atoms_added(self):
         rules = parse_program("s(X) -> exists Y . t(X, Y), u(Y), v(X)")
-        result = semi_oblivious_chase(parse_database("s(a)"), rules)
+        result = run_chase(
+            parse_database("s(a)"), rules, ChaseVariant.SEMI_OBLIVIOUS
+        )
         names = {f.predicate.name for f in result.instance}
         assert names == {"s", "t", "u", "v"}
 
     def test_null_indices_increase_with_creation_order(self):
         db = parse_database("person(bob)")
-        result = semi_oblivious_chase(db, EX1, max_steps=5)
+        result = run_chase(db, EX1, ChaseVariant.SEMI_OBLIVIOUS, max_steps=5)
         nulls = sorted(result.instance.nulls())
         assert [n.index for n in nulls] == list(
             range(1, len(nulls) + 1)

@@ -425,7 +425,7 @@ class TestPerCommandParser:
         self, terminating_rules_file, argparse_calls, capsys
     ):
         assert main(["check", terminating_rules_file]) == 0
-        # The top level and ``check``; all nine commands are 10 and 65.
+        # The top level and ``check``; all nine commands are 10 and 64.
         assert argparse_calls["parsers"] == 2
         assert len(argparse_calls["arguments"]) == 10
 

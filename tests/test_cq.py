@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chase import semi_oblivious_chase
+from repro.chase import ChaseVariant, run_chase
 from repro.cq import ConjunctiveQuery, is_model, is_model_of, is_universal_for
 from repro.model import Constant, Instance, Null, Variable
 from repro.parser import parse_atom, parse_database, parse_program
@@ -80,7 +80,7 @@ class TestCertainAnswersViaChase:
             "emp(X) -> exists D . works(X, D)\nworks(X, D) -> dept(D)"
         )
         db = parse_database("emp(ada)")
-        result = semi_oblivious_chase(db, rules)
+        result = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
         assert result.terminated
         # dept(D): only a null witness exists -> no certain answers.
         query = ConjunctiveQuery([Variable("D")], [parse_atom("dept(D)")])
@@ -108,12 +108,12 @@ class TestModelChecks:
 
     def test_chase_result_is_model_of_inputs(self):
         db = parse_database("p(a)\np(b)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
         assert is_model_of(result.instance, db, self.RULES)
 
     def test_universality_direction(self):
         db = parse_database("p(a)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
         model = Instance([atom("p", "a"), atom("q", "a", "b")])
         assert is_universal_for(result.instance, model)
         # The converse fails: the model has a constant the chase lacks.

@@ -134,9 +134,7 @@ class TestDeltaEngine:
     def test_round_is_materialized_and_deduped(self):
         rules = parse_program("p(X), q(X) -> r(X)")
         instance = Instance([atom("p", "a"), atom("q", "a")])
-        engine = DeltaEngine(
-            rules, instance, key=lambda t: t.key(ChaseVariant.OBLIVIOUS)
-        )
+        engine = DeltaEngine(rules, instance, ChaseVariant.OBLIVIOUS)
         triggers = engine.next_round()
         # Discovered once per pivot but handed out once.
         assert len(triggers) == 1
@@ -145,9 +143,7 @@ class TestDeltaEngine:
     def test_fired_keys_persist_across_rounds(self):
         rules = parse_program("p(X), q(X) -> r(X)")
         instance = Instance([atom("p", "a"), atom("q", "a")])
-        engine = DeltaEngine(
-            rules, instance, key=lambda t: t.key(ChaseVariant.OBLIVIOUS)
-        )
+        engine = DeltaEngine(rules, instance, ChaseVariant.OBLIVIOUS)
         (trigger,) = engine.next_round()
         instance.add(atom("q", "a"))  # already present, but notify anyway
         engine.notify([atom("q", "a")])
@@ -158,13 +154,22 @@ class TestDeltaEngine:
     def test_empty_frontier_means_fixpoint(self):
         rules = parse_program("p(X) -> r(X)")
         instance = Instance([atom("p", "a")])
-        engine = DeltaEngine(
-            rules, instance, key=lambda t: t.key(ChaseVariant.OBLIVIOUS)
-        )
+        engine = DeltaEngine(rules, instance, ChaseVariant.OBLIVIOUS)
         assert len(engine.next_round()) == 1
         # Nothing notified: the engine has no frontier left.
         assert engine.pending_facts() == 0
         assert engine.next_round() == []
+
+    def test_key_callable_is_gone(self):
+        # The variant alone keys triggers; there is no second way.
+        rules = parse_program("p(X) -> r(X)")
+        instance = Instance([atom("p", "a")])
+        with pytest.raises(TypeError, match="key"):
+            DeltaEngine(
+                rules, instance,
+                key=lambda t: t.key(ChaseVariant.OBLIVIOUS),
+                variant=ChaseVariant.OBLIVIOUS,
+            )
 
 
 class TestDiscoveryOrder:
@@ -205,7 +210,7 @@ class TestDiscoveryOrder:
     def test_round_keeps_each_trigger_at_its_first_discovery(self):
         engine = DeltaEngine(
             parse_program(self.RULES), self.instance(),
-            key=lambda t: t.key(ChaseVariant.OBLIVIOUS),
+            ChaseVariant.OBLIVIOUS,
         )
         assert [self.shown(t) for t in engine.next_round()] == [
             (0, ("a2", "b1")), (0, ("a2", "b0")),
@@ -227,8 +232,7 @@ class TestDiscoveryOrder:
                      [Atom(Predicate("r", 2),
                            [Variable("X"), Variable("Z")])])]
         instance = Instance([Atom(p, [Constant("a"), Constant("b")])])
-        engine = DeltaEngine(rules, instance,
-                             key=lambda t: t.key(variant), variant=variant)
+        engine = DeltaEngine(rules, instance, variant)
         assert len(engine.next_round()) == 1
         engine.notify([Atom(p, [Constant("a"), Constant("c")])])
         assert [self.shown(t) for t in engine.next_round()] == expected

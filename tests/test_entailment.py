@@ -116,12 +116,12 @@ class TestSelectiveGuardConstant:
 
 class TestSaturatedFacts:
     def test_matches_terminating_chase_restriction(self):
-        from repro.chase import semi_oblivious_chase
+        from repro.chase import ChaseVariant, run_chase
 
         rules = parse_program("p(X) -> q(X)\nq(X) -> exists Z . r(X, Z)")
         db = parse_database("p(a)\np(b)")
         saturated = saturated_facts(rules, db)
-        chase = semi_oblivious_chase(db, rules)
+        chase = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS)
         assert chase.terminated
         constant_facts = {
             f for f in chase.instance if not f.nulls()

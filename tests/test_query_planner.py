@@ -351,12 +351,7 @@ def _removed_order_keywords():
     """``(name, call, keyword)`` for every keyword that once chose a
     join order (or, for ``run_chase``, a null numbering); each
     ``call(**kwargs)`` forwards to the public surface."""
-    from repro.chase import (
-        ChaseSession,
-        oblivious_chase,
-        restricted_chase,
-        semi_oblivious_chase,
-    )
+    from repro.chase import ChaseSession
     from repro.entailment import entails_atom, looping_operator
     from repro.entailment.atoms import saturated_facts
     from repro.serve import ChaseService
@@ -379,12 +374,6 @@ def _removed_order_keywords():
          lambda **kw: run_chase(db, rules, **kw), "planner"),
         ("run_chase(null_factory=)",
          lambda **kw: run_chase(db, rules, **kw), "null_factory"),
-        ("oblivious_chase(planner=)",
-         lambda **kw: oblivious_chase(db, rules, **kw), "planner"),
-        ("semi_oblivious_chase(planner=)",
-         lambda **kw: semi_oblivious_chase(db, rules, **kw), "planner"),
-        ("restricted_chase(planner=)",
-         lambda **kw: restricted_chase(db, rules, **kw), "planner"),
         ("ChaseSession.start(planner=)",
          lambda **kw: ChaseSession.start(db, rules, **kw), "planner"),
         ("decide_termination(order_policy=)",

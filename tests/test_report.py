@@ -1,6 +1,6 @@
 """Tests for termination reports and chase provenance."""
 
-from repro.chase import semi_oblivious_chase
+from repro.chase import ChaseVariant, run_chase
 from repro.cli import main
 from repro.parser import parse_database, parse_program
 from repro.termination import termination_report
@@ -71,12 +71,12 @@ class TestProvenance:
 
     def test_database_facts_have_no_provenance(self):
         db = parse_database("p(a)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
         assert result.provenance(next(iter(db))) is None
 
     def test_derived_facts_point_to_their_step(self):
         db = parse_database("p(a)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
         r_fact = next(
             f for f in result.instance if f.predicate.name == "r"
         )
@@ -86,7 +86,7 @@ class TestProvenance:
 
     def test_facts_by_rule(self):
         db = parse_database("p(a)\np(b)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
         contributions = result.facts_by_rule()
         assert contributions == {"r1": 2, "r2": 2}
 
@@ -94,7 +94,7 @@ class TestProvenance:
         # The lazily built fact→step map must answer exactly like the
         # old O(steps) scan, for derived and database facts alike.
         db = parse_database("p(a)\np(b)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
 
         def scan(fact):
             for step in result.steps:
@@ -107,7 +107,7 @@ class TestProvenance:
 
     def test_repeated_lookups_share_the_built_map(self):
         db = parse_database("p(a)")
-        result = semi_oblivious_chase(db, self.RULES)
+        result = run_chase(db, self.RULES, ChaseVariant.SEMI_OBLIVIOUS)
         fact = next(
             f for f in result.instance if f.predicate.name == "r"
         )

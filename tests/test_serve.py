@@ -400,6 +400,59 @@ def test_http_end_to_end():
     service.close()
 
 
+def test_http_rejects_fields_of_the_wrong_json_type(tmp_path):
+    # "false" is truthy and true is an int in Python; neither may be
+    # read as the JSON type the field documents.
+    store = tmp_path / "store"
+    session = ChaseSession.start(
+        parse_database("emp(ann, hr)\nemp(bob, it)"),
+        parse_program("emp(X, D) -> exists K . works(X, K)"),
+        save=str(store),
+    )
+    service = ChaseService()
+    service.add_session("default", session)
+    query = "q(X, K) :- works(X, K)"
+    header = store / "chase.pkl"
+    before = (session.watermark, session.step_count, header.read_bytes())
+    with serve_background(service) as background:
+        host, port = background.address
+        for path, body, field in [
+            ("/query", {"query": query, "certain": "false"}, "certain"),
+            ("/query", {"query": query, "certain": None}, "certain"),
+            ("/query", {"query": query, "timeout_s": True}, "timeout_s"),
+            ("/query", {"query": query, "timeout_s": "5"}, "timeout_s"),
+            ("/entail", {"atom": "emp(ann, hr)", "timeout_s": True},
+             "timeout_s"),
+            ("/facts", {"facts": ["emp(cy, hr)"], "max_steps": True},
+             "max_steps"),
+            ("/facts", {"facts": ["emp(cy, hr)"], "max_steps": 2.0},
+             "max_steps"),
+            ("/facts", {"facts": ["emp(cy, hr)"], "timeout_s": True},
+             "timeout_s"),
+        ]:
+            status, out = _request(host, port, "POST", path, body)
+            assert status == 400, body
+            assert field in out["error"], body
+        # The refused ingests changed nothing, on disk included: the
+        # header still records the session's own step cap.
+        assert (session.watermark, session.step_count,
+                header.read_bytes()) == before
+        for certain, count in ((False, 2), (True, 0)):
+            status, out = _request(
+                host, port, "POST", "/query",
+                {"query": query, "certain": certain},
+            )
+            assert status == 200
+            assert out["certain"] is certain and out["count"] == count
+        status, out = _request(
+            host, port, "POST", "/facts",
+            {"facts": ["emp(cy, hr)"], "max_steps": 100, "timeout_s": 5},
+        )
+        assert status == 200 and out["new_steps"] == 1
+    service.close()
+    session.close()
+
+
 def test_http_readonly_store_conflict():
     service = ChaseService()
     service.add_readonly(

@@ -437,6 +437,43 @@ class TestStorageCLI:
         ]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [
+        ["--variant", "o"], ["--kernel", "vector"], ["--overwrite"],
+    ])
+    def test_resume_refuses_fresh_run_flags(
+        self, flags, cli_rules_file, cli_db_file, tmp_path, capsys
+    ):
+        store = tmp_path / "store"
+        assert main([
+            "chase", cli_rules_file, cli_db_file, "--variant", "so",
+            "--max-steps", "5", "--save", str(store),
+        ]) == 1
+        capsys.readouterr()
+        saved = [(store / name).read_bytes()
+                 for name in ("MANIFEST.json", "chase.pkl")]
+        assert main([
+            "chase", "--resume", str(store), *flags, "--max-steps", "6",
+        ]) == 2
+        assert (f"error: --resume continues its own store; {flags[0]}"
+                in capsys.readouterr().err)
+        assert [(store / name).read_bytes()
+                for name in ("MANIFEST.json", "chase.pkl")] == saved
+
+    def test_checkpoint_cadence_flag_is_a_usage_error(
+        self, cli_rules_file, cli_db_file, tmp_path, capsys
+    ):
+        # Every round boundary checkpoints; there is no cadence to set.
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "chase", cli_rules_file, cli_db_file, "--save", str(store),
+                "--checkpoint-every", "2",
+            ])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --checkpoint-every"
+                in capsys.readouterr().err)
+        assert not store.exists()
+
     def test_chase_requires_rules_without_resume(self, capsys):
         assert main(["chase"]) == 2
         capsys.readouterr()
