@@ -244,12 +244,11 @@ def wal_gate(n=400, width=12, deltas=6, pairs=5) -> Verdict:
         def run():
             store = os.path.join(tmp, f"run-{next(runs)}")
             shutil.copytree(template, store)
-            service = ChaseService(request_timeout_s=None)
-            resident = service.add_session("default", ChaseSession.resume(store),
-                                           journal=journal)
+            service = ChaseService(ChaseSession.resume(store), journal=journal,
+                                   request_timeout_s=None)
             timer = None
             if journal:
-                timer = resident.journal = _TimedJournal(resident.journal)
+                timer = service.journal = _TimedJournal(service.journal)
             try:
                 wall, out = clocked(lambda: [
                     service.ingest(batch, ingest_id=f"d{index}")

@@ -6,7 +6,7 @@ Walks the full `repro.serve` loop in one process:
 1. chase a small org database to a universal model and keep it
    *resident* in a :class:`repro.chase.incremental.ChaseSession`;
 2. serve it over HTTP on a background thread
-   (:func:`repro.serve.serve_background`) and fire concurrent
+   (:class:`repro.serve.BackgroundServer`) and fire concurrent
    certain-answer queries plus an entailment probe at it;
 3. ``POST /facts`` a delta of new base facts — the server resumes the
    chase **from the delta only** (incremental maintenance, never a
@@ -25,7 +25,7 @@ import threading
 
 from repro.chase.incremental import ChaseSession
 from repro.parser import parse_database, parse_program
-from repro.serve import ChaseService, serve_background
+from repro.serve import BackgroundServer, ChaseService
 
 RULES = parse_program(
     """
@@ -67,11 +67,10 @@ def main() -> None:
     session = ChaseSession.start(DATABASE, RULES, variant="semi_oblivious")
     assert session.terminated
 
-    service = ChaseService(request_timeout_s=30.0)
-    service.add_session("default", session)
+    service = ChaseService(session, request_timeout_s=30.0)
 
     # 2. Serve on a daemon thread; port 0 = pick a free port.
-    with serve_background(service, port=0) as server:
+    with BackgroundServer(service, port=0) as server:
         _, port = server.address
         print(f"serving on http://127.0.0.1:{port}")
 
@@ -123,10 +122,9 @@ def main() -> None:
               f"+{len(new)} new: {new}")
 
         status, stats = call(port, "GET", "/stats")
-        resident = stats["residents"]["default"]
-        print(f"served {resident['queries']} queries, "
-              f"{resident['ingests']} ingest legs, "
-              f"{resident['facts']} facts resident")
+        print(f"served {stats['queries']} queries, "
+              f"{stats['ingests']} ingest legs, "
+              f"{stats['facts']} facts resident")
 
     service.close()
     print("server drained, session closed")

@@ -87,8 +87,8 @@ class Checkpointer:
     the two commit records (manifest, then header)."""
 
     __slots__ = ("writer", "rules", "variant", "max_steps",
-                 "n_steps", "steps_ints", "n_fired", "fired_ints",
-                 "fired_logged", "null_next")
+                 "_written_max_steps", "n_steps", "steps_ints", "n_fired",
+                 "fired_ints", "fired_logged", "null_next")
 
     def __init__(self, writer: StoreWriter, rules: Sequence[TGD],
                  variant: str, max_steps: int,
@@ -97,6 +97,8 @@ class Checkpointer:
         self.rules = list(rules)
         self.variant = variant
         self.max_steps = max_steps
+        #: The cap the header on disk records (none yet for a new run).
+        self._written_max_steps = None if state is None else state["max_steps"]
         if state is None:
             self.n_steps = 0
             self.steps_ints = 0
@@ -136,9 +138,10 @@ class Checkpointer:
         """Raise (or change) the step budget that the next checkpoint
         records — an extension leg that continues a finished or
         budget-stopped run sets its new cap here so that a later
-        ``resume_chase`` sees it.  A leg that checkpoints nothing (an
-        all-duplicate delta on a finished run) leaves the header's cap
-        as it was."""
+        ``resume_chase`` sees it.  A leg that adds nothing to a
+        finished run still checkpoints when this cap differs from the
+        one the header on disk records (see
+        :meth:`~repro.chase.incremental.ChaseSession.extend`)."""
         self.max_steps = max_steps
 
     def checkpoint(
@@ -217,6 +220,7 @@ class Checkpointer:
         _atomic_pickle(
             os.path.join(self.writer.path, CHASE_STATE), header
         )
+        self._written_max_steps = self.max_steps
 
 
 def load_state(path: str, store) -> dict:

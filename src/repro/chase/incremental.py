@@ -182,8 +182,20 @@ class ChaseSession(_ChaseRun):
         added = ingest_facts(self._engine, facts)
         if not added and self._terminated and not self._pending:
             # Every fact was already present: the resident result is
-            # already the chase of the (unchanged) union.  Still
-            # checkpoint nothing — the store is current.
+            # already the chase of the (unchanged) union.  Only a new
+            # cap is news; the header and the result record it (the
+            # step and fired tails are empty).
+            ckpt = self._ckpt
+            if ckpt is not None and ckpt._written_max_steps != ckpt.max_steps:
+                ckpt.checkpoint(self._engine, self._steps, (), self._rounds,
+                                True, self._stop_reason)
+            result = self.result
+            if result.max_steps != self.max_steps:
+                self.result = ChaseResult(
+                    self.instance, True, self._steps, self.variant,
+                    self.max_steps, stop_reason=self._stop_reason,
+                    resource=result.resource,
+                )
             return self.result
         return self._run_leg(budget)
 

@@ -212,6 +212,7 @@ def _cmd_chase(args) -> int:
         # The store fixes the run's variant, kernel and directory.
         given = [
             flag for flag, value in (
+                ("DB", args.database),
                 ("--save", args.save), ("--variant", args.variant),
                 ("--kernel", args.kernel), ("--overwrite", args.overwrite),
             )
@@ -238,6 +239,8 @@ def _cmd_chase(args) -> int:
         return EXIT_CODES.get(result.stop_reason, 1)
     if not args.rules or not args.database:
         raise ValueError("chase needs RULES and DB (or --resume DIR)")
+    if args.no_save:
+        raise ValueError("--no-save only applies with --resume")
     rules = _load_rules(args.rules)
     database = _load_database(args.database)
     variant = _VARIANTS[args.variant or "r"]
@@ -256,9 +259,32 @@ def _cmd_chase(args) -> int:
     return EXIT_CODES.get(result.stop_reason, 1)
 
 
+def _print_answers(query, instance, args, budget) -> None:
+    """Print ``query`` over ``instance``: ``true``/``false`` for a
+    boolean query, else one atom per answer over the query's answer
+    predicate and a count line."""
+    from .model import Atom, Predicate
+
+    if query.is_boolean():
+        holds = query.holds_in(instance, kernel=args.kernel, budget=budget)
+        print("true" if holds else "false")
+        return
+    name = query.name
+    if args.certain:
+        answers = query.certain_answers(
+            instance, kernel=args.kernel, budget=budget,
+        )
+    else:
+        answers = query.answers(instance, kernel=args.kernel, budget=budget)
+    count = 0
+    for answer in answers:
+        count += 1
+        print(atom_to_text(Atom(Predicate(name, len(answer)), answer)))
+    print(f"% {count} {'certain ' if args.certain else ''}answers")
+
+
 def _query_over_store(args, budget) -> int:
     """``query --db DIR``: answer over a saved store, no re-chase."""
-    from .model import Atom, Predicate
     from .storage import open_instance
 
     query = parse_query(args.query)
@@ -278,32 +304,11 @@ def _query_over_store(args, budget) -> int:
             "incomplete",
             file=sys.stderr,
         )
-    if query.is_boolean():
-        holds = query.holds_in(
-            instance, kernel=args.kernel, budget=budget,
-        )
-        print("true" if holds else "false")
-        return 0
-    name = query.name
-    if args.certain:
-        answers = query.certain_answers(
-            instance, kernel=args.kernel, budget=budget,
-        )
-    else:
-        answers = query.answers(
-            instance, kernel=args.kernel, budget=budget,
-        )
-    count = 0
-    for answer in answers:
-        count += 1
-        print(atom_to_text(Atom(Predicate(name, len(answer)), answer)))
-    print(f"% {count} {'certain ' if args.certain else ''}answers")
+    _print_answers(query, instance, args, budget)
     return 0
 
 
 def _cmd_query(args) -> int:
-    from .model import Atom, Predicate
-
     budget = _budget_from(args)
     inputs = args.inputs
     if args.db is not None:
@@ -333,29 +338,8 @@ def _cmd_query(args) -> int:
                 "universal model; certain answers may be incomplete",
                 file=sys.stderr,
             )
-        exit_code = EXIT_CODES.get(result.stop_reason, 1)
-        if query.is_boolean():
-            holds = query.holds_in(
-                result.instance, kernel=args.kernel, budget=budget,
-            )
-            print("true" if holds else "false")
-            return exit_code
-        # Answers print as atoms over the query's answer predicate.
-        name = query.name
-        if args.certain:
-            answers = query.certain_answers(
-                result.instance, kernel=args.kernel, budget=budget,
-            )
-        else:
-            answers = query.answers(
-                result.instance, kernel=args.kernel, budget=budget,
-            )
-        count = 0
-        for answer in answers:
-            count += 1
-            print(atom_to_text(Atom(Predicate(name, len(answer)), answer)))
-    print(f"% {count} {'certain ' if args.certain else ''}answers")
-    return exit_code
+        _print_answers(query, result.instance, args, budget)
+    return EXIT_CODES.get(result.stop_reason, 1)
 
 
 def _cmd_inspect(args) -> int:
@@ -461,11 +445,9 @@ def _cmd_serve(args) -> int:
         max_inflight=args.max_inflight,
         max_ingest_queue=args.max_ingest_queue,
     )
-    service = ChaseService(
-        request_timeout_s=args.request_timeout, admission=admission,
-        default_kernel=args.kernel,
-    )
-    session = None
+    ChaseService._check_settings(args.request_timeout, args.kernel)
+    settings = dict(request_timeout_s=args.request_timeout,
+                    admission=admission, kernel=args.kernel)
     if args.db is not None:
         if args.rules or args.database:
             raise ValueError("--db serves a saved store; drop RULES/DB")
@@ -477,23 +459,21 @@ def _cmd_serve(args) -> int:
             session = ChaseSession.resume(
                 args.db, budget=budget, max_steps=args.max_steps,
             )
-            resident = service.add_session(
-                "default", session, journal=True
-            )
+            service = ChaseService(session, journal=True, **settings)
             _chase_summary(session.variant, session.result)
-            journal = resident.journal
-            if journal is not None and journal.torn_bytes:
+            journal = service.journal
+            if journal.torn_bytes:
                 print(f"% journal: truncated {journal.torn_bytes} torn "
                       f"tail bytes")
-            if journal is not None and resident.ingests:
-                # A fresh resident's ingest count is exactly the
+            if service.ingests:
+                # A fresh service's ingest count is exactly the
                 # number of journal-replayed deltas.
-                print(f"% journal: replayed {resident.ingests} "
+                print(f"% journal: replayed {service.ingests} "
                       f"unacknowledged ingest delta(s)")
         else:
             # A plain Instance.save() store: queryable, not extendable.
             instance = open_instance(args.db)
-            service.add_readonly("default", instance)
+            service = ChaseService(instance, **settings)
             print(f"% store {args.db}: {len(instance)} facts "
                   f"(read-only: no chase state)")
     else:
@@ -511,8 +491,8 @@ def _cmd_serve(args) -> int:
                 kernel=args.kernel, budget=budget,
                 save=args.save, overwrite=args.overwrite,
             )
-        service.add_session(
-            "default", session, journal=bool(args.save)
+        service = ChaseService(
+            session, journal=bool(args.save), **settings
         )
         _chase_summary(variant, session.result)
         if budget.stop_reason == "cancelled":
@@ -676,9 +656,9 @@ def _add_serve(serve: argparse.ArgumentParser) -> None:
                             "503 + Retry-After (default 64)")
     serve.add_argument("--max-ingest-queue", type=int, default=16,
                        metavar="N",
-                       help="at most N ingests waiting per resident; "
-                            "excess is shed with 429 + Retry-After "
-                            "(default 16)")
+                       help="at most N ingests waiting for the writer "
+                            "lock; excess is shed with 429 + "
+                            "Retry-After (default 16)")
     serve.add_argument("--variant", choices=sorted(_VARIANTS), default="r")
     serve.add_argument("--max-steps", type=int, default=None,
                        help="step budget for the initial chase and all "

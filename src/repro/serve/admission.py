@@ -1,19 +1,19 @@
 """Admission control: shed load instead of queueing without bound.
 
-PR 8's server accepted every request the thread pool could hold; under
-sustained overload that means unbounded latency growth and, for
-ingest, an unbounded line of writers parked on the resident lock.  The
-:class:`AdmissionController` is the service-wide gate every verb
-passes through:
+Without a gate the server accepts every request the thread pool can
+hold; under sustained overload that means unbounded latency growth
+and, for ingest, an unbounded line of writers parked on the resident's
+writer lock.  The :class:`AdmissionController` is the service-wide
+gate every verb passes through:
 
 * **Concurrent-request gate.**  At most ``max_inflight`` requests are
   in flight service-wide; the next one is *shed* with HTTP 503 and a
   ``Retry-After`` computed from the recent request-latency EWMA — the
   client learns when capacity is likely back instead of timing out.
-* **Bounded per-resident ingest queue.**  Ingests to one resident are
-  serialized by its writer lock; at most ``max_ingest_queue`` may wait
-  for it.  The next is shed with HTTP 429 (the resident exists and is
-  healthy — the *caller* is sending faster than one chase can drain).
+* **Bounded ingest queue.**  Ingests are serialized by the resident's
+  writer lock; at most ``max_ingest_queue`` may wait for it.  The next
+  is shed with HTTP 429 (the resident is healthy — the *caller* is
+  sending faster than one chase can drain).
 
 Shedding is deliberately cheap (one lock, two integer comparisons) and
 happens before any parsing or budget work, so a saturated service
@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Callable, Optional
 
-from .service import Resident, ServiceError
+from .service import ServiceError
 
 #: EWMA smoothing factor for request latency (~last 10 requests).
 _ALPHA = 0.2
@@ -48,8 +48,8 @@ DEGRADED_WINDOW_S = 10.0
 
 
 class OverloadError(ServiceError):
-    """A shed request: HTTP 429 (per-resident ingest queue full) or
-    503 (service-wide gate), carrying the ``Retry-After`` hint."""
+    """A shed request: HTTP 429 (ingest queue full) or 503
+    (service-wide gate), carrying the ``Retry-After`` hint."""
 
     def __init__(self, message: str, status: int, retry_after_s: float):
         super().__init__(message, status=status)
@@ -61,13 +61,13 @@ class AdmissionController:
 
     ``max_inflight`` bounds concurrently admitted requests (``None``
     disables the gate); ``max_ingest_queue`` bounds how many ingests
-    may wait on one resident's writer lock.  ``clock`` is injectable
+    may wait on the resident's writer lock.  ``clock`` is injectable
     for deterministic tests.
     """
 
     __slots__ = ("max_inflight", "max_ingest_queue", "_lock", "_clock",
-                 "inflight", "accepted", "shed", "ingest_shed",
-                 "_ewma_s", "_last_shed_at")
+                 "inflight", "accepted", "shed", "ingest_waiting",
+                 "ingest_shed", "_ewma_s", "_last_shed_at")
 
     def __init__(
         self,
@@ -90,6 +90,8 @@ class AdmissionController:
         self.inflight = 0
         self.accepted = 0
         self.shed = 0
+        #: Ingests currently waiting on the writer lock.
+        self.ingest_waiting = 0
         self.ingest_shed = 0
         self._ewma_s: Optional[float] = None
         self._last_shed_at: Optional[float] = None
@@ -127,30 +129,27 @@ class AdmissionController:
             else:
                 self._ewma_s += _ALPHA * (elapsed - self._ewma_s)
 
-    # -- the per-resident ingest queue ---------------------------------------
+    # -- the ingest queue ----------------------------------------------------
 
-    def enter_ingest_queue(self, resident: Resident) -> None:
-        """Join the line for ``resident``'s writer lock, or shed with
+    def enter_ingest_queue(self) -> None:
+        """Join the line for the writer lock, or shed with
         :class:`OverloadError` 429 when the line is full."""
         with self._lock:
-            if resident.ingest_waiting >= self.max_ingest_queue:
+            if self.ingest_waiting >= self.max_ingest_queue:
                 self.ingest_shed += 1
                 self._last_shed_at = self._clock()
-                retry = self._retry_after_locked(
-                    resident.ingest_waiting
-                )
+                retry = self._retry_after_locked(self.ingest_waiting)
                 raise OverloadError(
-                    f"resident {resident.name!r} ingest queue is full "
-                    f"({resident.ingest_waiting} waiting); retry in "
-                    f"~{retry:.1f}s",
+                    f"ingest queue is full ({self.ingest_waiting} "
+                    f"waiting); retry in ~{retry:.1f}s",
                     status=429,
                     retry_after_s=retry,
                 )
-            resident.ingest_waiting += 1
+            self.ingest_waiting += 1
 
-    def leave_ingest_queue(self, resident: Resident) -> None:
+    def leave_ingest_queue(self) -> None:
         with self._lock:
-            resident.ingest_waiting -= 1
+            self.ingest_waiting -= 1
 
     # -- health / stats ------------------------------------------------------
 

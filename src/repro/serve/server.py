@@ -7,25 +7,25 @@ any dependency beyond the standard library.  Endpoints:
 ===========  ======  ====================================================
 path         method  body / effect
 ===========  ======  ====================================================
-``/``        GET     endpoint index
+``/``        GET     endpoint index (also ``/index``)
 ``/health``  GET     liveness probe (also reports draining state)
-``/stats``   GET     :meth:`ChaseService.status` — per-resident state
-``/query``   POST    ``{"query": "...", "certain"?, "resident"?,
-                     "kernel"?, "timeout_s"?}`` → answers
-``/entail``  POST    ``{"atom": "p(a, b)", "resident"?, "timeout_s"?}``
-                     → ground-atom entailment at the pinned watermark
+``/stats``   GET     :meth:`ChaseService.status` — the resident's state
+``/query``   POST    ``{"query": "...", "certain"?, "timeout_s"?}`` →
+                     answers
+``/entail``  POST    ``{"atom": "p(a, b)", "timeout_s"?}`` → ground-atom
+                     entailment at the pinned watermark
 ``/facts``   POST    ``{"facts": "...text..." | ["p(a, b)", ...],
-                     "resident"?, "timeout_s"?, "max_steps"?,
-                     "ingest_id"?}`` → incremental maintenance (chase
-                     resumed from the delta), then a fresh snapshot is
-                     published; ``ingest_id`` is the idempotency key a
-                     safe retry reuses
+                     "timeout_s"?, "max_steps"?, "ingest_id"?}`` →
+                     incremental maintenance (chase resumed from the
+                     delta), then a fresh snapshot is published;
+                     ``ingest_id`` is the idempotency key a safe retry
+                     reuses
 ===========  ======  ====================================================
 
 Service calls run on the event loop's default thread-pool executor, so
 slow queries and ingest legs never stall the accept loop; concurrency
-control is the service's own (snapshot-pinned reads, per-resident
-single-writer ingest lock, admission gate).  Error mapping:
+control is the service's own (snapshot-pinned reads, a single-writer
+ingest lock, admission gate).  Error mapping:
 :class:`ServiceError` → its status, parse/validation errors → 400, a
 tripped request budget (:class:`~repro.errors.BudgetExceededError`) →
 503 with the stop reason, unknown path → 404; body fields an endpoint
@@ -74,7 +74,7 @@ _STATUS_TEXT = {
 _INDEX = {
     "endpoints": {
         "GET /health": "liveness probe (ok | degraded | quarantined)",
-        "GET /stats": "per-resident chase state and counters",
+        "GET /stats": "the resident's chase state and counters",
         "POST /query": "conjunctive query over the pinned snapshot",
         "POST /entail": "ground-atom entailment",
         "POST /facts": (
@@ -293,9 +293,7 @@ class ChaseServer:
             out = await self._call(
                 self.service.query,
                 text,
-                resident=payload.get("resident"),
                 certain=payload.get("certain", False),
-                kernel=payload.get("kernel"),
                 timeout_s=payload.get("timeout_s"),
             )
             return 200, out
@@ -306,7 +304,6 @@ class ChaseServer:
             out = await self._call(
                 self.service.entail,
                 text,
-                resident=payload.get("resident"),
                 timeout_s=payload.get("timeout_s"),
             )
             return 200, out
@@ -328,7 +325,6 @@ class ChaseServer:
             out = await self._call(
                 self.service.ingest,
                 facts,
-                resident=payload.get("resident"),
                 timeout_s=payload.get("timeout_s"),
                 max_steps=payload.get("max_steps"),
                 ingest_id=ingest_id,
@@ -440,10 +436,3 @@ class BackgroundServer:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-def serve_background(
-    service: ChaseService, host: str = "127.0.0.1", port: int = 0
-) -> BackgroundServer:
-    """Start a :class:`BackgroundServer` and return it once bound."""
-    return BackgroundServer(service, host=host, port=port).start()

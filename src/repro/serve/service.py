@@ -1,8 +1,8 @@
-"""The embeddable chase service: residents, snapshots, budgets, ingest.
+"""The embeddable chase service: one resident, snapshots, budgets, ingest.
 
 :class:`ChaseService` is the transport-free core of ``repro serve`` —
-a registry of named *residents* (chased instances kept in memory,
-optionally checkpointing to durable stores) with four operations:
+one *resident* (a chased instance kept in memory, optionally
+checkpointing to a durable store) with four operations:
 
 ``query``
     Evaluate a conjunctive query (naive or certain answers, or a bare
@@ -17,14 +17,14 @@ optionally checkpointing to durable stores) with four operations:
 ``ingest``
     Append new base facts and incrementally maintain the chase
     (:meth:`~repro.chase.incremental.ChaseSession.extend`), then
-    publish a fresh snapshot.  Single-writer: ingests to one resident
-    are serialized by a lock; readers are never blocked.  With a
+    publish a fresh snapshot.  Single-writer: ingests are serialized
+    by a lock; readers are never blocked.  With a
     durable resident the delta is first made durable in the
     write-ahead ingest journal (:mod:`repro.storage.journal`), so a
     crash mid-leg loses nothing and a retried ``ingest_id`` is
     deduplicated (at-most-once effect, replayed response).
 ``status``
-    Per-resident counters and chase state.
+    The resident's counters and chase state.
 
 Every request passes the service's
 :class:`~repro.serve.admission.AdmissionController` first — overload
@@ -42,12 +42,12 @@ last published snapshot, refusing further ingests — instead of
 poisoning the whole service.  ``/health`` reports the resulting
 ``ok | degraded | quarantined`` state.
 
-Thread-safety contract: residents publish snapshots by plain attribute
+Thread-safety contract: the service publishes snapshots by plain attribute
 assignment (atomic under the GIL) and snapshots never intern into the
 shared symbol tables, so any number of reader threads may serve
 requests while one ingest extends the instance — the GIL-safety
 argument lives in :mod:`repro.storage.snapshot`.  Counters are guarded
-by a per-resident lock so ``/stats`` is exact under concurrency.
+by a lock so ``/stats`` is exact under concurrency.
 """
 
 from __future__ import annotations
@@ -67,7 +67,8 @@ from ..runtime import faults
 from ..runtime.budget import Budget, CancelToken
 from ..storage.journal import MAX_ACKS, IngestJournal
 
-#: Resident health states (worst-wins at the service level).
+#: Resident health states (``/health`` reports ``degraded`` for an
+#: ``ok`` resident while admission sheds).
 HEALTH_OK = "ok"
 HEALTH_DEGRADED = "degraded"
 HEALTH_QUARANTINED = "quarantined"
@@ -75,52 +76,78 @@ HEALTH_QUARANTINED = "quarantined"
 
 class ServiceError(ReproError):
     """A request-level failure with an HTTP-ish status code (400 bad
-    request, 404 unknown resident, 409 read-only resident, 429/503
-    overload, ...)."""
+    request, 409 read-only resident, 429/503 overload, ...)."""
 
     def __init__(self, message: str, status: int = 400):
         super().__init__(message)
         self.status = status
 
 
-class Resident:
-    """One served instance: a :class:`ChaseSession` (extendable) or a
-    bare read-only :class:`Instance` (e.g. a reopened plain store),
-    plus the published snapshot reads are pinned to."""
+FactsInput = Union[str, Iterable[str]]
 
-    __slots__ = ("name", "session", "instance", "snapshot", "lock",
-                 "terminated", "stop_reason", "queries", "ingests",
-                 "ingest_waiting", "quarantine_reason", "journal",
-                 "_acks", "_count_lock")
+
+class ChaseService:
+    """The transport-free server core: one resident + four verbs.
+
+    ``resident`` is a :class:`ChaseSession` (extendable) or an
+    :class:`Instance` served read-only (e.g. a reopened plain store).
+    ``journal=True`` attaches the write-ahead ingest journal beside the
+    session's checkpoint store; journaled deltas that were never
+    acknowledged (the process died mid-ingest) are **replayed**
+    through the session before the constructor returns.
+
+    ``request_timeout_s`` caps every per-request deadline (a request
+    may ask for less, never more).  ``admission`` is the overload gate
+    (a default :class:`~repro.serve.admission.AdmissionController`
+    when omitted).  ``kernel`` is the execution tier every query runs
+    on (see :data:`repro.query.kernels.KERNELS` — the CLI's
+    ``--kernel``).
+    """
 
     def __init__(
         self,
-        name: str,
-        session: Optional[ChaseSession] = None,
-        instance: Optional[Instance] = None,
-        terminated: Optional[bool] = None,
+        resident: Union[ChaseSession, Instance],
+        *,
+        journal: bool = False,
+        request_timeout_s: Optional[float] = 30.0,
+        admission=None,
+        kernel: str = "tuple",
     ):
-        if (session is None) == (instance is None):
-            raise ValueError("pass a session or an instance, not both")
-        self.name = name
+        from .admission import AdmissionController
+
+        self._check_settings(request_timeout_s, kernel)
+        if isinstance(resident, ChaseSession):
+            session, instance = resident, resident.instance
+        elif isinstance(resident, Instance):
+            session, instance = None, resident
+        else:
+            raise TypeError(
+                f"serve a ChaseSession or an Instance, got "
+                f"{type(resident).__name__}"
+            )
+        self.request_timeout_s = request_timeout_s
+        self.kernel = kernel
+        self.admission = (
+            admission if admission is not None else AdmissionController()
+        )
+        #: The shared cancellation token every request budget carries;
+        #: :meth:`shutdown` flips it.
+        self.cancel = CancelToken()
         self.session = session
-        self.instance = session.instance if session else instance
+        self.instance = instance
         #: The published consistent view; replaced wholesale (atomic
         #: attribute write) at the end of every ingest leg.
-        self.snapshot: SnapshotInstance = self.instance.snapshot()
+        self.snapshot: SnapshotInstance = instance.snapshot()
         #: Serializes ingest legs (the chase is single-writer).
         self.lock = threading.Lock()
-        self.terminated = (
-            session.terminated if session else terminated
+        self.terminated: Optional[bool] = (
+            session.terminated if session else None
         )
         self.stop_reason: Optional[str] = (
             session.stop_reason if session else None
         )
         self.queries = 0
         self.ingests = 0
-        #: Ingests currently waiting on :attr:`lock` (bounded by the
-        #: admission controller; mutated under its lock).
-        self.ingest_waiting = 0
         self.quarantine_reason: Optional[str] = None
         #: The write-ahead ingest journal (durable residents only).
         self.journal: Optional[IngestJournal] = None
@@ -130,16 +157,42 @@ class Resident:
         #: Guards the counters so ``/stats`` is exact under concurrent
         #: readers (``+=`` is read-modify-write, not atomic).
         self._count_lock = threading.Lock()
+        if journal:
+            store_dir = session.store_path if session else None
+            if store_dir is None:
+                raise ValueError(
+                    "journal=True needs a session with a durable "
+                    "checkpoint store"
+                )
+            self.journal = IngestJournal.attach(store_dir)
+            self._acks = OrderedDict(self.journal.acked)
+            self._recover()
 
-    @property
-    def read_only(self) -> bool:
-        """True when the resident has no chase session to extend."""
-        return self.session is None
+    @staticmethod
+    def _check_settings(
+        request_timeout_s: Optional[float], kernel: str
+    ) -> None:
+        """Refuse settings every request would inherit.  ``repro
+        serve`` calls this before its chase, so a bad flag costs no
+        chase."""
+        from ..query.kernels import KERNELS
 
-    @property
-    def health(self) -> str:
-        """``quarantined`` after a failed ingest leg, ``degraded``
-        while the last leg stopped short of fixpoint, else ``ok``."""
+        if kernel not in KERNELS:
+            raise ValueError(
+                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
+            )
+        # Every request without its own timeout_s gets this deadline,
+        # so a bad one would fail every request (or, NaN, never trip).
+        if request_timeout_s is not None and not request_timeout_s > 0:
+            raise ValueError(
+                f"request_timeout_s must be positive, got "
+                f"{request_timeout_s}"
+            )
+
+    def _state(self) -> str:
+        """The resident's health: ``quarantined`` after a failed
+        ingest leg, ``degraded`` while the last leg stopped short of
+        fixpoint, else ``ok``."""
         if self.quarantine_reason is not None:
             return HEALTH_QUARANTINED
         if self.session is not None and self.stop_reason not in (
@@ -148,25 +201,15 @@ class Resident:
             return HEALTH_DEGRADED
         return HEALTH_OK
 
-    def quarantine(self, reason: str) -> None:
-        """Freeze the resident read-only at its last published
-        snapshot: queries keep answering, ingests refuse."""
-        self.quarantine_reason = reason
-
-    def note_query(self) -> None:
+    def _note_query(self) -> None:
         with self._count_lock:
             self.queries += 1
 
-    def note_ingest(self) -> None:
+    def _note_ingest(self) -> None:
         with self._count_lock:
             self.ingests += 1
 
-    # -- idempotency ---------------------------------------------------------
-
-    def recorded_response(self, ingest_id: str) -> Optional[dict]:
-        return self._acks.get(ingest_id)
-
-    def record_response(self, ingest_id: str, response: dict) -> None:
+    def _record_response(self, ingest_id: str, response: dict) -> None:
         """Remember (and, when journaled, persist) the response a
         retried ``ingest_id`` replays.  Called under :attr:`lock`."""
         if self.journal is not None:
@@ -176,183 +219,33 @@ class Resident:
         while len(self._acks) > MAX_ACKS:
             self._acks.popitem(last=False)
 
-    def describe(self) -> dict:
-        out: Dict[str, object] = {
-            "facts": self.snapshot.watermark,
-            "read_only": self.read_only,
-            "terminated": self.terminated,
-            "health": self.health,
-            "queries": self.queries,
-            "ingests": self.ingests,
-        }
-        if self.quarantine_reason is not None:
-            out["quarantine_reason"] = self.quarantine_reason
-        session = self.session
-        if session is not None:
-            out["variant"] = session.variant
-            out["steps"] = session.step_count
-            out["stop_reason"] = self.stop_reason
-        if self.journal is not None:
-            out["journal"] = self.journal.describe()
-        return out
-
-
-FactsInput = Union[str, Iterable[str]]
-
-
-class ChaseService:
-    """The transport-free server core: named residents + four verbs.
-
-    ``request_timeout_s`` caps every per-request deadline (a request
-    may ask for less, never more); ``cancel`` is the shared
-    cancellation token every request budget carries — default a fresh
-    one, flipped by :meth:`shutdown`.  ``admission`` is the overload
-    gate (a default :class:`~repro.serve.admission.AdmissionController`
-    when omitted).  ``default_kernel`` is the execution tier queries
-    run on when a request names none (see
-    :data:`repro.query.kernels.KERNELS` — the CLI's ``--kernel``).
-    """
-
-    def __init__(
-        self,
-        request_timeout_s: Optional[float] = 30.0,
-        cancel: Optional[CancelToken] = None,
-        admission=None,
-        default_kernel: str = "tuple",
-    ):
-        from .admission import AdmissionController
-        from ..query.kernels import KERNELS
-
-        if default_kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {default_kernel!r}; expected one of "
-                f"{KERNELS}"
-            )
-        # Every request without its own timeout_s gets this deadline,
-        # so a bad one would fail every request (or, NaN, never trip).
-        if request_timeout_s is not None and not request_timeout_s > 0:
-            raise ValueError(
-                f"request_timeout_s must be positive, got "
-                f"{request_timeout_s}"
-            )
-        self.request_timeout_s = request_timeout_s
-        self.cancel = cancel if cancel is not None else CancelToken()
-        self.residents: Dict[str, Resident] = {}
-        self.default_kernel = default_kernel
-        self.admission = (
-            admission if admission is not None else AdmissionController()
-        )
-
-    # -- registry ------------------------------------------------------------
-
-    def add_session(
-        self,
-        name: str,
-        session: ChaseSession,
-        journal: Union[None, bool, str, IngestJournal] = None,
-    ) -> Resident:
-        """Register an extendable resident over a live chase session.
-
-        ``journal`` attaches a write-ahead ingest journal: pass an
-        :class:`~repro.storage.journal.IngestJournal`, a store
-        directory path, or ``True`` to derive the directory from the
-        session's checkpoint store.  Journaled deltas that were never
-        acknowledged (the process died mid-ingest) are **replayed**
-        through the session before the resident serves — see
-        :meth:`recover`.
-        """
-        resident = self._register(Resident(name, session=session))
-        if journal:
-            if isinstance(journal, IngestJournal):
-                resident.journal = journal
-            else:
-                store_dir = (
-                    session.store_path if journal is True else journal
-                )
-                if store_dir is None:
-                    raise ValueError(
-                        "journal=True needs a session with a durable "
-                        "checkpoint store"
-                    )
-                resident.journal = IngestJournal.attach(store_dir)
-            resident._acks = OrderedDict(resident.journal.acked)
-            self.recover(resident)
-        return resident
-
-    def add_readonly(
-        self, name: str, instance: Instance,
-        terminated: Optional[bool] = None,
-    ) -> Resident:
-        """Register a query-only resident (no ingest) over a bare
-        instance — e.g. a store saved without chase state."""
-        return self._register(
-            Resident(name, instance=instance, terminated=terminated)
-        )
-
-    def _register(self, resident: Resident) -> Resident:
-        if resident.name in self.residents:
-            raise ValueError(f"duplicate resident {resident.name!r}")
-        self.residents[resident.name] = resident
-        return resident
-
-    def _resident(self, name: Optional[str]) -> Resident:
-        residents = self.residents
-        if not residents:
-            raise ServiceError("no residents are loaded", status=503)
-        if name is None:
-            if len(residents) == 1:
-                return next(iter(residents.values()))
-            default = residents.get("default")
-            if default is not None:
-                return default
-            raise ServiceError(
-                f"several residents are loaded "
-                f"({', '.join(sorted(residents))}); "
-                f"name one with 'resident'",
-            )
-        resident = residents.get(name)
-        if resident is None:
-            raise ServiceError(
-                f"unknown resident {name!r} "
-                f"(loaded: {', '.join(sorted(residents)) or 'none'})",
-                status=404,
-            )
-        return resident
-
     # -- crash recovery ------------------------------------------------------
 
-    def recover(self, resident: Resident) -> int:
-        """Replay the resident's journaled-but-unacknowledged deltas
-        (a previous process died between the WAL fsync and the chase
-        checkpoint).  ``extend`` skips facts the interrupted leg
-        already made durable, so replay is idempotent and the result
-        is byte-identical to the uninterrupted run.  Returns the
-        number of deltas replayed."""
-        journal = resident.journal
-        session = resident.session
-        if journal is None or session is None or not journal.pending:
-            return 0
-        replayed = 0
+    def _recover(self) -> None:
+        """Replay the journaled-but-unacknowledged deltas (a previous
+        process died between the WAL fsync and the chase checkpoint).
+        ``extend`` skips facts the interrupted leg already made
+        durable, so replay is idempotent and the result is
+        byte-identical to the uninterrupted run."""
+        journal = self.journal
+        session = self.session
         for ingest_id, facts in list(journal.pending.items()):
-            with resident.lock:
+            with self.lock:
                 before = session.watermark
                 steps_before = session.step_count
                 try:
                     session.extend(facts)
                 except Exception as exc:
-                    resident.quarantine(
+                    self.quarantine_reason = (
                         f"journal replay of {ingest_id!r} failed: {exc}"
                     )
                     break
-                self._publish(resident)
+                self._publish()
                 response = self._ingest_response(
-                    resident, before, steps_before, None,
-                    ingest_id=ingest_id,
+                    before, steps_before, None, ingest_id=ingest_id,
                 )
-                resident.record_response(ingest_id, response)
-                resident.note_ingest()
-            replayed += 1
-        return replayed
+                self._record_response(ingest_id, response)
+                self._note_ingest()
 
     # -- budgets / admission -------------------------------------------------
 
@@ -393,9 +286,7 @@ class ChaseService:
         self,
         text: str,
         *,
-        resident: Optional[str] = None,
         certain: bool = False,
-        kernel: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ) -> dict:
         """Answer a conjunctive query over the resident's published
@@ -404,24 +295,13 @@ class ChaseService:
         ``text`` is the CLI query syntax — ``"q(X) :- e(X, Y)"``, or a
         bare conjunction for a boolean query.  ``certain`` filters to
         null-free answers (the certain answers whenever the resident's
-        chase terminated).  ``kernel`` picks the execution tier (see
-        :data:`repro.query.kernels.KERNELS`; default: the service-wide
-        default, normally ``"tuple"``).  Answers render as atom text
-        over the query's answer predicate, exactly like ``repro
-        query``.
+        chase terminated).  Queries run on the service's ``kernel``.
+        Answers render as atom text over the query's answer predicate,
+        exactly like ``repro query``.
         """
-        from ..query.kernels import KERNELS
-
         with self._admitted():
-            target = self._resident(resident)
-            snapshot = target.snapshot  # pin once: the request's world
-            if kernel is None:
-                kernel = self.default_kernel
-            if kernel not in KERNELS:
-                raise ServiceError(
-                    f"unknown kernel {kernel!r}; expected one of "
-                    f"{list(KERNELS)}"
-                )
+            snapshot = self.snapshot  # pin once: the request's world
+            kernel = self.kernel
             if not isinstance(certain, bool):
                 raise ServiceError(
                     f"certain must be a boolean, got {certain!r}"
@@ -432,11 +312,10 @@ class ChaseService:
                 raise ServiceError(f"bad query: {exc}") from exc
             budget = self.request_budget(timeout_s)
             out: Dict[str, object] = {
-                "resident": target.name,
                 "watermark": snapshot.watermark,
                 "certain": certain,
             }
-            if target.terminated is False:
+            if self.terminated is False:
                 out["warning"] = (
                     "the resident chase has not terminated; answers are "
                     "computed over a partial instance"
@@ -461,14 +340,13 @@ class ChaseService:
                 ]
                 out["count"] = len(answers)
             out["elapsed_s"] = round(budget.elapsed_s(), 6)
-            target.note_query()
+            self._note_query()
             return out
 
     def entail(
         self,
         text: str,
         *,
-        resident: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ) -> dict:
         """Is a ground constant-only atom entailed by the resident's
@@ -481,8 +359,7 @@ class ChaseService:
         absence is reported with a warning (the model is partial).
         """
         with self._admitted():
-            target = self._resident(resident)
-            snapshot = target.snapshot
+            snapshot = self.snapshot
             try:
                 atom = parse_atom(text)
             except (ReproError, ValueError) as exc:
@@ -495,24 +372,22 @@ class ChaseService:
             self.request_budget(timeout_s)  # validates; membership is O(1)
             entailed = atom in snapshot
             out: Dict[str, object] = {
-                "resident": target.name,
                 "watermark": snapshot.watermark,
                 "atom": atom_to_text(atom),
                 "entailed": entailed,
             }
-            if not entailed and target.terminated is False:
+            if not entailed and self.terminated is False:
                 out["warning"] = (
                     "the resident chase has not terminated; a negative "
                     "entailment answer may be incomplete"
                 )
-            target.note_query()
+            self._note_query()
             return out
 
     def ingest(
         self,
         facts: FactsInput,
         *,
-        resident: Optional[str] = None,
         timeout_s: Optional[float] = None,
         max_steps: Optional[int] = None,
         ingest_id: Optional[str] = None,
@@ -526,7 +401,8 @@ class ChaseService:
         delta and its derivations are durable at return.  A fresh
         snapshot is published on completion — readers keep their
         pinned watermarks throughout.  ``max_steps`` raises the
-        session's total step cap.
+        session's total step cap; a value below the current cap is
+        refused (400) before anything changes.
 
         ``ingest_id`` is the client's idempotency key: a repeated id
         is applied **at most once** and answered with the recorded
@@ -537,24 +413,23 @@ class ChaseService:
         next ``serve --db`` start.
         """
         with self._admitted():
-            target = self._resident(resident)
-            session = target.session
+            session = self.session
             if session is None:
                 raise ServiceError(
-                    f"resident {target.name!r} is read-only (no chase "
-                    f"state); ingest needs a session-backed resident",
+                    "the resident is read-only (no chase state); ingest "
+                    "needs a session-backed resident",
                     status=409,
                 )
             if ingest_id is not None:
                 # An already-acknowledged retry replays even on a
                 # quarantined resident — the effect *did* happen.
-                recorded = target.recorded_response(ingest_id)
+                recorded = self._acks.get(ingest_id)
                 if recorded is not None:
                     return dict(recorded, replayed=True)
-            if target.health == HEALTH_QUARANTINED:
+            if self.quarantine_reason is not None:
                 raise ServiceError(
-                    f"resident {target.name!r} is quarantined read-only "
-                    f"({target.quarantine_reason}); restart the server "
+                    f"the resident is quarantined read-only "
+                    f"({self.quarantine_reason}); restart the server "
                     f"to recover it",
                     status=503,
                 )
@@ -587,30 +462,37 @@ class ChaseService:
                         f"got {atom_to_text(fact)}"
                     )
             budget = self.request_budget(timeout_s)
-            if target.journal is not None and ingest_id is None:
+            if self.journal is not None and ingest_id is None:
                 # Journal replay needs a key even when the client sent
                 # none; synthesize one (returned in the response).
                 ingest_id = f"auto-{uuid.uuid4().hex}"
-            self.admission.enter_ingest_queue(target)
+            self.admission.enter_ingest_queue()
             try:
-                with target.lock:
+                with self.lock:
                     if ingest_id is not None:
                         # Re-check under the lock: a concurrent retry
                         # of the same id may have just completed.
-                        recorded = target.recorded_response(ingest_id)
+                        recorded = self._acks.get(ingest_id)
                         if recorded is not None:
                             return dict(recorded, replayed=True)
-                    if target.journal is not None:
+                    if max_steps is not None and max_steps < session.max_steps:
+                        # Checked under the lock, where the cap cannot
+                        # move: a lower cap would freeze the chase.
+                        raise ServiceError(
+                            f"max_steps can only raise the step cap "
+                            f"({session.max_steps}), got {max_steps}"
+                        )
+                    if self.journal is not None:
                         # fsync-before-ack: the delta is durable before
                         # the chase sees it.
-                        target.journal.append_delta(ingest_id, parsed)
+                        self.journal.append_delta(ingest_id, parsed)
                     # Chaos crash point: the window between WAL
                     # durability and the chase leg.
                     faults.serve_ingest_hook()
                     before = session.watermark
                     steps_before = session.step_count
                     try:
-                        result = session.extend(
+                        session.extend(
                             parsed, budget=budget, max_steps=max_steps,
                         )
                     except BudgetExceededError as exc:
@@ -619,9 +501,9 @@ class ChaseService:
                         # prefix — republish it (with its stop reason)
                         # so readers see the true durable state instead
                         # of a stale pre-ingest snapshot.
-                        target.snapshot = session.snapshot()
-                        target.terminated = False
-                        target.stop_reason = (
+                        self.snapshot = session.snapshot()
+                        self.terminated = False
+                        self.stop_reason = (
                             exc.stop_reason or session.stop_reason
                         )
                         raise
@@ -631,47 +513,41 @@ class ChaseService:
                         # Quarantine the resident read-only at its last
                         # published snapshot; the journaled delta (no
                         # ack) replays after a restart.
-                        target.quarantine(
-                            f"ingest leg failed: {exc}"
-                        )
+                        self.quarantine_reason = f"ingest leg failed: {exc}"
                         raise ServiceError(
-                            f"resident {target.name!r} quarantined: "
-                            f"ingest leg failed ({exc}); reads continue "
-                            f"at watermark {target.snapshot.watermark}",
+                            f"the resident is quarantined: ingest leg "
+                            f"failed ({exc}); reads continue at watermark "
+                            f"{self.snapshot.watermark}",
                             status=503,
                         ) from exc
                     # Publish: one atomic attribute write; readers
                     # pinned to the old snapshot finish undisturbed,
                     # new requests see the maintained instance.
-                    self._publish(target)
-                    target.note_ingest()
+                    self._publish()
+                    self._note_ingest()
                     response = self._ingest_response(
-                        target, before, steps_before, budget,
-                        ingest_id=ingest_id,
+                        before, steps_before, budget, ingest_id=ingest_id,
                     )
-                    del result
                     if ingest_id is not None:
-                        target.record_response(ingest_id, response)
+                        self._record_response(ingest_id, response)
                     return response
             finally:
-                self.admission.leave_ingest_queue(target)
+                self.admission.leave_ingest_queue()
 
-    def _publish(self, target: Resident) -> None:
-        session = target.session
-        target.snapshot = session.snapshot()
-        target.terminated = session.terminated
-        target.stop_reason = session.stop_reason
+    def _publish(self) -> None:
+        session = self.session
+        self.snapshot = session.snapshot()
+        self.terminated = session.terminated
+        self.stop_reason = session.stop_reason
 
-    @staticmethod
     def _ingest_response(
-        target: Resident, before: int, steps_before: int,
+        self, before: int, steps_before: int,
         budget: Optional[Budget], ingest_id: Optional[str],
     ) -> dict:
-        session = target.session
+        session = self.session
         response = {
-            "resident": target.name,
-            "watermark": target.snapshot.watermark,
-            "new_facts": target.snapshot.watermark - before,
+            "watermark": self.snapshot.watermark,
+            "new_facts": self.snapshot.watermark - before,
             "new_steps": session.step_count - steps_before,
             "terminated": session.terminated,
             "stop_reason": session.stop_reason,
@@ -688,25 +564,16 @@ class ChaseService:
     def health(self) -> dict:
         """The cheap liveness/readiness summary (no parsing, no
         snapshot work — safe to compute even under full overload):
-        service status is the *worst* resident state, degraded further
-        while admission is actively shedding."""
-        residents: Dict[str, str] = {
-            name: resident.health
-            for name, resident in self.residents.items()
-        }
-        status = HEALTH_OK
-        if HEALTH_DEGRADED in residents.values():
+        the resident's state, degraded while admission is actively
+        shedding."""
+        status = self._state()
+        if status == HEALTH_OK and self.admission.overloaded_recently():
             status = HEALTH_DEGRADED
-        if self.admission.overloaded_recently():
-            status = HEALTH_DEGRADED
-        if HEALTH_QUARANTINED in residents.values():
-            status = HEALTH_QUARANTINED
         draining = self.cancel.cancelled()
         out: Dict[str, object] = {
             "ok": status == HEALTH_OK and not draining,
             "status": status,
             "draining": draining,
-            "residents": residents,
         }
         if status != HEALTH_OK:
             out["retry_after_s"] = round(
@@ -715,16 +582,29 @@ class ChaseService:
         return out
 
     def status(self) -> dict:
-        """Service-level summary: one entry per resident."""
-        return {
-            "residents": {
-                name: resident.describe()
-                for name, resident in self.residents.items()
-            },
-            "request_timeout_s": self.request_timeout_s,
-            "admission": self.admission.describe(),
-            "shutting_down": self.cancel.cancelled(),
+        """The resident's counters and chase state, then the
+        service's deadline cap, admission counters and shutdown flag."""
+        out: Dict[str, object] = {
+            "facts": self.snapshot.watermark,
+            "read_only": self.session is None,
+            "terminated": self.terminated,
+            "health": self._state(),
+            "queries": self.queries,
+            "ingests": self.ingests,
         }
+        if self.quarantine_reason is not None:
+            out["quarantine_reason"] = self.quarantine_reason
+        session = self.session
+        if session is not None:
+            out["variant"] = session.variant
+            out["steps"] = session.step_count
+            out["stop_reason"] = self.stop_reason
+        if self.journal is not None:
+            out["journal"] = self.journal.describe()
+        out["request_timeout_s"] = self.request_timeout_s
+        out["admission"] = self.admission.describe()
+        out["shutting_down"] = self.cancel.cancelled()
+        return out
 
     def shutdown(self) -> None:
         """Cooperatively cancel in-flight requests (their budgets share
@@ -732,8 +612,7 @@ class ChaseService:
         self.cancel.cancel()
 
     def close(self) -> None:
-        """Shut down and close every resident session."""
+        """Shut down and close the resident session."""
         self.shutdown()
-        for resident in self.residents.values():
-            if resident.session is not None:
-                resident.session.close()
+        if self.session is not None:
+            self.session.close()

@@ -25,7 +25,6 @@ from repro.serve import (
     OverloadError,
     ServiceError,
 )
-from repro.serve.service import Resident
 
 RULES = parse_program(
     """
@@ -43,12 +42,11 @@ def fresh_session():
 
 
 def fresh_service(**admission_kwargs):
-    service = ChaseService(
+    return ChaseService(
+        fresh_session(),
         admission=AdmissionController(**admission_kwargs)
         if admission_kwargs else None,
     )
-    service.add_session("default", fresh_session())
-    return service
 
 
 def http_request(address, method, path, body=None, timeout=30):
@@ -95,13 +93,12 @@ def test_retry_after_header_is_integer_seconds():
 
 def test_ingest_queue_bound_sheds_429():
     ctl = AdmissionController(max_inflight=None, max_ingest_queue=1)
-    resident = Resident("r", instance=parse_database("e(a, b)"))
-    ctl.enter_ingest_queue(resident)
+    ctl.enter_ingest_queue()
     with pytest.raises(OverloadError) as err:
-        ctl.enter_ingest_queue(resident)
+        ctl.enter_ingest_queue()
     assert err.value.status == 429
-    ctl.leave_ingest_queue(resident)
-    ctl.enter_ingest_queue(resident)  # freed slot admits again
+    ctl.leave_ingest_queue()
+    ctl.enter_ingest_queue()  # freed slot admits again
     assert ctl.describe()["ingest_shed"] == 1
 
 
@@ -192,7 +189,6 @@ def test_http_429_maps_ingest_queue_shed():
     import time
 
     service = fresh_service(max_inflight=16, max_ingest_queue=1)
-    resident = service.residents["default"]
     statuses = []
     lock = threading.Lock()
 
@@ -205,7 +201,7 @@ def test_http_429_maps_ingest_queue_shed():
             with lock:
                 statuses.append((status, headers))
 
-        resident.lock.acquire()  # pin the writer: the line backs up
+        service.lock.acquire()  # pin the writer: the line backs up
         try:
             threads = [
                 threading.Thread(target=ingest, args=(i,))
@@ -222,7 +218,7 @@ def test_http_429_maps_ingest_queue_shed():
                         break
                 time.sleep(0.01)
         finally:
-            resident.lock.release()
+            service.lock.release()
         for t in threads:
             t.join()
 
@@ -241,7 +237,6 @@ def test_http_429_maps_ingest_queue_shed():
 
 def test_failed_leg_quarantines_resident_but_reads_survive(monkeypatch):
     service = fresh_service()
-    resident = service.residents["default"]
     before = service.query("q(X, Y) :- p(X, Y)")
 
     def explode(self, *args, **kwargs):
@@ -253,7 +248,7 @@ def test_failed_leg_quarantines_resident_but_reads_survive(monkeypatch):
         service.ingest(["e(n2, n3)"])
     assert err.value.status == 503
     assert "quarantined" in str(err.value)
-    assert resident.health == "quarantined"
+    assert service.status()["health"] == "quarantined"
     assert service.health()["status"] == "quarantined"
     assert service.health()["ok"] is False
 
@@ -276,7 +271,6 @@ def test_budget_stopped_leg_republishes_prefix(monkeypatch):
     round-consistent prefix (and its stop reason), never leave the
     resident at the stale pre-ingest snapshot."""
     service = fresh_service()
-    resident = service.residents["default"]
     real_extend = ChaseSession.extend
 
     def tripping_extend(self, facts, **kwargs):
@@ -284,19 +278,19 @@ def test_budget_stopped_leg_republishes_prefix(monkeypatch):
         raise BudgetExceededError("deadline", stop_reason="deadline")
 
     monkeypatch.setattr(ChaseSession, "extend", tripping_extend)
-    before = resident.snapshot.watermark
+    before = service.snapshot.watermark
     with pytest.raises(BudgetExceededError):
         service.ingest(["e(n2, n3)"])
-    assert resident.snapshot.watermark > before  # republished
-    assert resident.stop_reason == "deadline"
-    assert resident.terminated is False
-    assert resident.health == "degraded"
+    assert service.snapshot.watermark > before  # republished
+    assert service.stop_reason == "deadline"
+    assert service.terminated is False
+    assert service.status()["health"] == "degraded"
     assert service.health()["status"] == "degraded"
     # Not quarantined: a budget stop is a clean, resumable state.
     monkeypatch.undo()
     out = service.ingest(["e(n3, n4)"])
     assert out["terminated"] is True
-    assert resident.health == "ok"
+    assert service.status()["health"] == "ok"
     service.close()
 
 
@@ -321,12 +315,11 @@ def test_nan_timeout_is_rejected():
 def test_bad_request_timeout_is_rejected(timeout_s):
     # Requests without their own timeout_s get this deadline.
     with pytest.raises(ValueError, match="request_timeout_s"):
-        ChaseService(request_timeout_s=timeout_s)
+        ChaseService(fresh_session(), request_timeout_s=timeout_s)
 
 
 def test_counters_are_exact_under_concurrency():
     service = fresh_service(max_inflight=None)
-    resident = service.residents["default"]
     workers, per_worker = 8, 25
 
     def hammer():
@@ -338,7 +331,7 @@ def test_counters_are_exact_under_concurrency():
         t.start()
     for t in threads:
         t.join()
-    assert resident.queries == workers * per_worker
+    assert service.queries == workers * per_worker
     service.close()
 
 
@@ -348,8 +341,7 @@ def test_health_shape_for_ok_service():
     assert health["ok"] is True
     assert health["status"] == "ok"
     assert health["draining"] is False
-    assert health["residents"] == {"default": "ok"}
-    assert "retry_after_s" not in health
+    assert set(health) == {"ok", "status", "draining"}
     service.shutdown()
     assert service.health()["ok"] is False
     assert service.health()["draining"] is True

@@ -140,6 +140,30 @@ def test_durable_extend_checkpoints_each_leg(tmp_path):
         assert session.terminated
 
 
+def test_raised_cap_on_a_no_op_leg_reaches_the_store(tmp_path):
+    # A leg that adds nothing still records a new cap, so a later
+    # resume runs under it.
+    import pickle
+
+    store = str(tmp_path / "chase.d")
+    header_path = tmp_path / "chase.d" / "chase.pkl"
+    run_chase(BASE, RULES, ChaseVariant.SEMI_OBLIVIOUS, save=store)
+    before = pickle.loads(header_path.read_bytes())
+    result = extend_chase(store, [], max_steps=20_000)
+    assert result.max_steps == 20_000
+    header = pickle.loads(header_path.read_bytes())
+    assert header["max_steps"] == 20_000
+    assert header == dict(before, max_steps=20_000)
+    with ChaseSession.resume(store) as session:
+        assert session.max_steps == 20_000
+        # A resident session records a raise on a duplicate delta too.
+        out = session.extend([parse_fact("emp(ann, sales)")],
+                             max_steps=30_000)
+        assert out.max_steps == 30_000
+    with ChaseSession.resume(store) as session:
+        assert session.max_steps == 30_000
+
+
 def test_extend_rejects_non_ground_and_null_facts():
     from repro.model import Atom, Constant, Predicate
 

@@ -159,8 +159,7 @@ def test_service_replays_unacked_delta_after_crash(tmp_path):
     restarted service must replay the delta and reach the state the
     uninterrupted run reaches."""
     session, path = store_session(tmp_path)
-    service = ChaseService()
-    service.add_session("default", session, journal=True)
+    service = ChaseService(session, journal=True)
     service.close()
 
     # Simulate the crash window: journal the delta, never run the leg.
@@ -168,9 +167,8 @@ def test_service_replays_unacked_delta_after_crash(tmp_path):
     journal.append_delta("d1", facts("e(n2, n3)"))
 
     resumed = ChaseSession.resume(path)
-    recovered = ChaseService()
-    resident = recovered.add_session("default", resumed, journal=True)
-    assert resident.ingests == 1  # the replayed delta
+    recovered = ChaseService(resumed, journal=True)
+    assert recovered.ingests == 1  # the replayed delta
     out = recovered.query("q(X, Y) :- p(X, Y)", certain=True)
     assert "q(n0, n3)" in out["answers"]  # transitively derived
     # The retried ingest_id dedupes to the recorded replay response.
@@ -184,22 +182,17 @@ def test_replay_matches_uninterrupted_run(tmp_path):
     """Byte-level equivalence: crash-and-replay produces the same
     manifest watermark and answers as never crashing."""
     clean_session, _clean = store_session(tmp_path, "clean")
-    clean = ChaseService()
-    clean.add_session("default", clean_session, journal=True)
+    clean = ChaseService(clean_session, journal=True)
     clean.ingest(["e(n2, n3)"], ingest_id="d1")
     expected = clean.query("q(X, Y) :- p(X, Y)", certain=True)
     clean.close()
 
     crash_session, path = store_session(tmp_path, "crashed")
-    crash = ChaseService()
-    crash.add_session("default", crash_session, journal=True)
+    crash = ChaseService(crash_session, journal=True)
     crash.close()
     IngestJournal.attach(path).append_delta("d1", facts("e(n2, n3)"))
 
-    recovered = ChaseService()
-    recovered.add_session(
-        "default", ChaseSession.resume(path), journal=True
-    )
+    recovered = ChaseService(ChaseSession.resume(path), journal=True)
     got = recovered.query("q(X, Y) :- p(X, Y)", certain=True)
     assert sorted(got["answers"]) == sorted(expected["answers"])
     assert got["watermark"] == expected["watermark"]
@@ -208,8 +201,7 @@ def test_replay_matches_uninterrupted_run(tmp_path):
 
 def test_ingest_without_id_gets_synthesized_key(tmp_path):
     session, _path = store_session(tmp_path)
-    service = ChaseService()
-    service.add_session("default", session, journal=True)
+    service = ChaseService(session, journal=True)
     out = service.ingest(["e(n2, n3)"])
     assert out["ingest_id"].startswith("auto-")
     service.close()
@@ -220,9 +212,8 @@ def test_journal_true_requires_durable_session():
         parse_database("e(n0, n1)"), RULES,
         variant=ChaseVariant.SEMI_OBLIVIOUS,
     )
-    service = ChaseService()
     with pytest.raises(ValueError, match="durable"):
-        service.add_session("default", session, journal=True)
+        ChaseService(session, journal=True)
     session.close()
 
 

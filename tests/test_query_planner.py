@@ -412,7 +412,7 @@ def _removed_order_keywords():
         ("is_model(policy=)",
          lambda **kw: is_model(inst, rules, **kw), "policy"),
         ("ChaseService.query(policy=)",
-         lambda **kw: ChaseService().query("q(X) :- p(X)", **kw),
+         lambda **kw: ChaseService(inst).query("q(X) :- p(X)", **kw),
          "policy"),
     ]
 

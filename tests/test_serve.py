@@ -17,12 +17,7 @@ from repro.chase.incremental import ChaseSession
 from repro.model import Instance
 from repro.model.instances import SnapshotInstance
 from repro.parser import parse_database, parse_fact, parse_program, parse_query
-from repro.serve import (
-    BackgroundServer,
-    ChaseService,
-    ServiceError,
-    serve_background,
-)
+from repro.serve import BackgroundServer, ChaseService, ServiceError
 
 RULES = parse_program(
     """
@@ -112,11 +107,10 @@ def test_snapshot_copy_materializes_an_independent_instance():
 
 def test_service_query_entail_ingest_status():
     session = fresh_session()
-    service = ChaseService()
-    service.add_session("default", session)
+    service = ChaseService(session)
     try:
         out = service.query("q(X, Y) :- p(X, Y)")
-        assert out["resident"] == "default"
+        assert "resident" not in out
         assert out["count"] == len(out["answers"]) == 3
         assert out["watermark"] == session.watermark
 
@@ -139,26 +133,17 @@ def test_service_query_entail_ingest_status():
         assert out["count"] == 4
 
         status = service.status()
-        resident = status["residents"]["default"]
-        assert resident["queries"] == 5
-        assert resident["ingests"] == 1
-        assert resident["terminated"] is True
+        assert status["queries"] == 5
+        assert status["ingests"] == 1
+        assert status["terminated"] is True
     finally:
         service.close()
 
 
 def test_service_error_statuses():
-    service = ChaseService()
-    with pytest.raises(ServiceError) as err:
-        service.query("q(X) :- p(X, Y)")
-    assert err.value.status == 503  # nothing loaded
-
     session = fresh_session()
-    service.add_session("default", session)
+    service = ChaseService(session)
     try:
-        with pytest.raises(ServiceError) as err:
-            service.query("q(X) :- p(X, Y)", resident="nope")
-        assert err.value.status == 404
         with pytest.raises(ServiceError) as err:
             service.query("q(X :- broken")
         assert err.value.status == 400
@@ -177,24 +162,20 @@ def test_service_error_statuses():
 
 def test_service_readonly_resident_rejects_ingest():
     instance = Instance(parse_database("p(a, b)"))
-    service = ChaseService()
-    service.add_readonly("frozen", instance)
-    out = service.query("q(X) :- p(X, Y)", resident="frozen")
+    service = ChaseService(instance)
+    out = service.query("q(X) :- p(X, Y)")
     assert out["count"] == 1
     with pytest.raises(ServiceError) as err:
-        service.ingest("p(c, d)", resident="frozen")
+        service.ingest("p(c, d)")
     assert err.value.status == 409
     service.close()
 
 
-def test_service_named_residents_and_budget_cap():
-    service = ChaseService(request_timeout_s=30.0)
-    service.add_readonly("a", Instance(parse_database("p(a, b)")))
-    service.add_readonly("b", Instance(parse_database("p(b, c)")))
-    with pytest.raises(ServiceError) as err:
-        service.query("q(X) :- p(X, Y)")  # ambiguous
-    assert err.value.status == 400
-    assert service.query("q(X) :- p(X, Y)", resident="b")["count"] == 1
+def test_service_request_budget_cap():
+    service = ChaseService(
+        Instance(parse_database("p(b, c)")), request_timeout_s=30.0
+    )
+    assert service.query("q(X) :- p(X, Y)")["count"] == 1
     # The per-request deadline is capped by the service-wide limit.
     budget = service.request_budget(timeout_s=10_000.0)
     assert budget.timeout_s == 30.0
@@ -203,8 +184,7 @@ def test_service_named_residents_and_budget_cap():
 
 
 def test_service_shutdown_cancels_request_budgets():
-    service = ChaseService()
-    service.add_readonly("a", Instance(parse_database("p(a, b)")))
+    service = ChaseService(Instance(parse_database("p(a, b)")))
     budget = service.request_budget()
     service.shutdown()
     assert budget.check() == "cancelled"
@@ -230,8 +210,7 @@ def test_snapshot_isolation_under_writer(variant):
     Under the restricted variant the writer's head checks read the
     resident instance while the readers query it."""
     session = fresh_session(variant)
-    service = ChaseService()
-    service.add_session("default", session)
+    service = ChaseService(session)
     query_text = "q(X, Y) :- p(X, Y)"
     deltas = [f"e(n{i}, n{i + 1})" for i in range(2, 12)]
     observations = [[] for _ in range(3)]
@@ -296,8 +275,7 @@ def test_incremental_ingest_equals_from_scratch_service():
     ingests, the served answers equal a from-scratch chase of the
     union database."""
     session = fresh_session()
-    service = ChaseService()
-    service.add_session("default", session)
+    service = ChaseService(session)
     deltas = ["e(n2, n3)", "e(n3, n4)", "e(n0, n5)"]
     for delta in deltas:
         service.ingest(delta)
@@ -337,9 +315,8 @@ def _request(host, port, method, path, payload=None):
 
 def test_http_end_to_end():
     session = fresh_session()
-    service = ChaseService()
-    service.add_session("default", session)
-    with serve_background(service) as background:
+    service = ChaseService(session)
+    with BackgroundServer(service) as background:
         host, port = background.address
         assert port != 0  # ephemeral port resolved
 
@@ -348,24 +325,31 @@ def test_http_end_to_end():
 
         status, out = _request(host, port, "GET", "/stats")
         assert status == 200
-        assert "default" in out["residents"]
+        assert out["facts"] == session.watermark
 
         status, out = _request(
             host, port, "POST", "/query",
             {"query": "q(X, Y) :- p(X, Y)"},
         )
         assert status == 200 and out["count"] == 3
-        # No field selects a join order; an unknown one is ignored.
-        status, ignored = _request(
-            host, port, "POST", "/query",
-            {"query": "q(X, Y) :- p(X, Y)", "policy": "bogus"},
-        )
-        assert status == 200 and ignored["answers"] == out["answers"]
+        # No field selects a join order, a resident or a kernel; a
+        # body that still sends one is answered as if it were absent.
+        for field in ("policy", "resident", "kernel"):
+            status, ignored = _request(
+                host, port, "POST", "/query",
+                {"query": "q(X, Y) :- p(X, Y)", field: "bogus"},
+            )
+            assert status == 200 and ignored["answers"] == out["answers"]
 
         status, out = _request(
             host, port, "POST", "/entail", {"atom": "p(n0, n2)"}
         )
         assert status == 200 and out["entailed"] is True
+        status, ignored = _request(
+            host, port, "POST", "/entail",
+            {"atom": "p(n0, n2)", "resident": "bogus"},
+        )
+        assert status == 200 and ignored == out
 
         status, out = _request(
             host, port, "POST", "/facts", {"facts": "e(n2, n3)"}
@@ -409,12 +393,11 @@ def test_http_rejects_fields_of_the_wrong_json_type(tmp_path):
         parse_program("emp(X, D) -> exists K . works(X, K)"),
         save=str(store),
     )
-    service = ChaseService()
-    service.add_session("default", session)
+    service = ChaseService(session)
     query = "q(X, K) :- works(X, K)"
     header = store / "chase.pkl"
     before = (session.watermark, session.step_count, header.read_bytes())
-    with serve_background(service) as background:
+    with BackgroundServer(service) as background:
         host, port = background.address
         for path, body, field in [
             ("/query", {"query": query, "certain": "false"}, "certain"),
@@ -446,7 +429,8 @@ def test_http_rejects_fields_of_the_wrong_json_type(tmp_path):
             assert out["certain"] is certain and out["count"] == count
         status, out = _request(
             host, port, "POST", "/facts",
-            {"facts": ["emp(cy, hr)"], "max_steps": 100, "timeout_s": 5},
+            {"facts": ["emp(cy, hr)"], "max_steps": 20_000,
+             "timeout_s": 5},
         )
         assert status == 200 and out["new_steps"] == 1
     service.close()
@@ -454,10 +438,7 @@ def test_http_rejects_fields_of_the_wrong_json_type(tmp_path):
 
 
 def test_http_readonly_store_conflict():
-    service = ChaseService()
-    service.add_readonly(
-        "default", Instance(parse_database("p(a, b)"))
-    )
+    service = ChaseService(Instance(parse_database("p(a, b)")))
     with BackgroundServer(service) as background:
         host, port = background.address
         status, out = _request(
@@ -466,3 +447,151 @@ def test_http_readonly_store_conflict():
         assert status == 409
         assert "read-only" in out["error"]
     service.close()
+
+
+# -- one resident per service ------------------------------------------------
+
+
+def test_service_serves_exactly_one_resident():
+    import repro.serve
+
+    assert not hasattr(repro.serve, "Resident")
+    assert not hasattr(repro.serve, "serve_background")
+    with pytest.raises(TypeError):
+        ChaseService()
+    with pytest.raises(TypeError):
+        ChaseService(None)
+    instance = Instance(parse_database("p(a, b)"))
+    with pytest.raises(TypeError):
+        ChaseService(instance, cancel=None)
+    service = ChaseService(instance)
+    for name in ("residents", "add_session", "add_readonly"):
+        assert not hasattr(service, name)
+    for call in (
+        lambda: service.query("q(X) :- p(X, Y)", resident="default"),
+        lambda: service.query("q(X) :- p(X, Y)", kernel="tuple"),
+        lambda: service.entail("p(a, b)", resident="default"),
+        lambda: service.ingest("p(c, d)", resident="default"),
+    ):
+        with pytest.raises(TypeError):
+            call()
+    service.close()
+
+
+# -- max_steps only raises the step cap --------------------------------------
+
+STAFF_RULES = parse_program(
+    """
+    emp(X, D) -> exists K . works(X, K)
+    works(X, K) -> staff(X)
+    """
+)
+
+
+def durable_staff_service(tmp_path):
+    """A journaled resident over a saved store: 4 steps, cap 10,000."""
+    store = tmp_path / "store"
+    session = ChaseSession.start(
+        parse_database("emp(ann, hr)\nemp(bob, it)"), STAFF_RULES,
+        save=str(store),
+    )
+    assert (session.step_count, session.max_steps) == (4, 10_000)
+    return ChaseService(session, journal=True), session, store
+
+
+def test_http_refuses_a_lower_max_steps(tmp_path):
+    # A lower cap would freeze the chase, on disk too.
+    service, session, store = durable_staff_service(tmp_path)
+
+    def state():
+        wal = store / "ingest.wal"
+        return (session.watermark, session.step_count,
+                (store / "chase.pkl").read_bytes(),
+                wal.read_bytes() if wal.exists() else None)
+
+    before = state()
+    with BackgroundServer(service) as background:
+        host, port = background.address
+        status, out = _request(
+            host, port, "POST", "/facts",
+            {"facts": ["emp(cy, hr)"], "max_steps": 1},
+        )
+        assert status == 400 and "max_steps" in out["error"]
+        assert state() == before
+        status, out = _request(
+            host, port, "POST", "/facts", {"facts": ["emp(cy, hr)"]}
+        )
+        assert status == 200 and out["new_steps"] == 2
+        # The current cap itself is accepted, as is a raise.
+        for fact, cap in (("emp(dee, it)", 10_000), ("emp(eve, it)", 20_000)):
+            status, out = _request(
+                host, port, "POST", "/facts",
+                {"facts": [fact], "max_steps": cap},
+            )
+            assert status == 200 and out["new_steps"] == 2
+        status, out = _request(
+            host, port, "POST", "/query", {"query": "q(X) :- staff(X)"}
+        )
+        assert sorted(out["answers"]) == [
+            "q(ann)", "q(bob)", "q(cy)", "q(dee)", "q(eve)"
+        ]
+    service.close()
+
+
+def test_http_raised_max_steps_on_a_duplicate_delta_is_durable(tmp_path):
+    import pickle
+
+    service, session, store = durable_staff_service(tmp_path)
+    with BackgroundServer(service) as background:
+        host, port = background.address
+        status, out = _request(
+            host, port, "POST", "/facts",
+            {"facts": ["emp(ann, hr)"], "max_steps": 20_000},
+        )
+        assert status == 200 and out["new_facts"] == 0
+    service.close()
+    header = pickle.loads((store / "chase.pkl").read_bytes())
+    assert header["max_steps"] == 20_000
+    with ChaseSession.resume(str(store)) as reopened:
+        assert reopened.max_steps == 20_000
+
+
+# -- docs/CLI.md's HTTP table names exactly what the server handles ----------
+
+
+def test_http_doc_table_matches_the_routes():
+    # The routes and body fields ChaseServer._route reads, and those
+    # docs/CLI.md's HTTP table names, must match in both directions.
+    import inspect
+    import os
+    import re
+
+    from repro.serve.server import ChaseServer
+
+    handled = {}
+    source = inspect.getsource(ChaseServer._route)
+    for block in source.split("        if path == ")[1:]:
+        routes = re.findall(r'"(/\w*)"', block.split(":\n", 1)[0])
+        fields = set(re.findall(
+            r'(?:payload\.get\(|_field\(payload, )"(\w+)"', block
+        ))
+        for route in routes:
+            handled[route] = fields
+
+    doc_path = os.path.join(
+        os.path.dirname(__file__), os.pardir, "docs", "CLI.md"
+    )
+    with open(doc_path, encoding="utf-8") as handle:
+        doc = handle.read()
+    table = doc.split("### The HTTP API", 1)[1].split("\n\n| route", 1)[1]
+    table = table.split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        cells = row.split(" | ")
+        fields = set(re.findall(r'"(\w+)"\??:', cells[1]))
+        for route in re.findall(r"(?:GET|POST) (/\w*)", cells[0]):
+            documented[route] = fields
+
+    assert "/facts" in handled and "max_steps" in handled["/facts"]
+    assert sorted(documented) == sorted(handled)
+    assert documented == handled

@@ -459,6 +459,37 @@ class TestStorageCLI:
         assert [(store / name).read_bytes()
                 for name in ("MANIFEST.json", "chase.pkl")] == saved
 
+    def test_resume_refuses_a_database(
+        self, cli_rules_file, cli_db_file, tmp_path, capsys
+    ):
+        # The store holds its database; another one would be ignored.
+        store = tmp_path / "store"
+        assert main([
+            "chase", cli_rules_file, cli_db_file, "--max-steps", "5",
+            "--save", str(store),
+        ]) == 1
+        capsys.readouterr()
+        other = tmp_path / "other.facts"
+        other.write_text("e(x, y)\n")
+        saved = [(store / name).read_bytes()
+                 for name in ("MANIFEST.json", "chase.pkl")]
+        assert main([
+            "chase", cli_rules_file, str(other), "--resume", str(store),
+            "--max-steps", "6",
+        ]) == 2
+        assert ("error: --resume continues its own store; DB"
+                in capsys.readouterr().err)
+        assert [(store / name).read_bytes()
+                for name in ("MANIFEST.json", "chase.pkl")] == saved
+
+    def test_no_save_without_resume_is_a_usage_error(
+        self, cli_rules_file, cli_db_file, capsys
+    ):
+        assert main(["chase", cli_rules_file, cli_db_file, "--no-save"]) == 2
+        captured = capsys.readouterr()
+        assert "error: --no-save only applies with --resume" in captured.err
+        assert captured.out == ""
+
     def test_checkpoint_cadence_flag_is_a_usage_error(
         self, cli_rules_file, cli_db_file, tmp_path, capsys
     ):
