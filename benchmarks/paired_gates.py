@@ -7,7 +7,7 @@ fixed-size input, so the host's speed drops out of the verdict:
 gate          arms                                                  threshold
 ============  ====================================================  ============
 vector        ``CompiledQuery.answer_ids``, tuple vs vector kernel  >= 2x
-wcoj          tuple vs leapfrog kernel on a planted-triangle query  >= 2x
+wcoj          tuple vs ``auto`` (leapfrog) on planted triangles     >= 2x
 incremental   ``ChaseSession.extend`` legs vs re-chasing the union  >= 2x
 wal           journaled vs journal-less durable ingest              <= 10%
 governed      chase under a never-tripping ``Budget`` vs without    <= 5% + 1 ms
@@ -20,9 +20,10 @@ collector off while the clock runs (a collection landing in one arm
 and not the other would skew that pair).  The verdict reads the median
 of the per-pair ratios.  Results are compared again on every pair.
 
-The vector gate is judged only when NumPy backs the batch kernels:
-without it the vector kernel runs its pure-Python twin, a correctness
-fallback.  The wal gate times the journal's own calls inside the
+The vector gate is judged only when NumPy is installed: without it
+the vector kernel runs the tuple loop, so both arms run the same
+code.  No caller can force the leapfrog engine, so the wcoj gate
+times ``auto`` after checking that ``auto`` picks it.  The wal gate times the journal's own calls inside the
 journaled legs, so the numerator and denominator of each pair's ratio
 come from the same run; the journal-less arm is its equality partner.
 
@@ -113,8 +114,8 @@ CLOSURE = parse_program("e(X, Y) -> p(X, Y)\np(X, Y), e(Y, Z) -> p(X, Z)")
 # -- the gates -------------------------------------------------------------
 
 
-def kernel_gate(kernel, instance, answer_variables, atoms, ordered, pairs,
-                judged=True) -> Verdict:
+def kernel_gate(gate, kernel, instance, answer_variables, atoms, ordered,
+                pairs, judged=True) -> Verdict:
     """The tuple kernel vs ``kernel`` over one instance, in id space:
     decoding back to terms is the same work per answer on every kernel.
     ``ordered`` compares answer sequences, otherwise answer sets."""
@@ -125,11 +126,11 @@ def kernel_gate(kernel, instance, answer_variables, atoms, ordered, pairs,
         shape = list if ordered else set
         return lambda: clocked(lambda: shape(query.answer_ids(instance)))
 
-    walls = paired(kernel, arm("tuple"), arm(kernel), pairs)
+    walls = paired(gate, arm("tuple"), arm(kernel), pairs)
     speedup = statistics.median(slow / fast for slow, fast in walls)
     if not judged:
-        return Verdict(kernel, True, f"{speedup:.2f}x (not judged without NumPy)")
-    return Verdict(kernel, speedup >= SPEEDUP,
+        return Verdict(gate, True, f"{speedup:.2f}x (not judged without NumPy)")
+    return Verdict(gate, speedup >= SPEEDUP,
                    f"{speedup:.2f}x (gate >= {SPEEDUP:g}x)")
 
 
@@ -148,14 +149,17 @@ def vector_gate(n_fact=8000, n_hub=40, pairs=11) -> Verdict:
             instance.add(Atom(dim, [Constant(f"h{h}"), Constant(f"z{h}_{j}")]))
             instance.add(Atom(attr, [Constant(f"z{h}_{j}"), Constant(f"a{h}")]))
     atoms = [Atom(fact, [X, Y]), Atom(dim, [Y, Z]), Atom(attr, [Z, W])]
-    return kernel_gate("vector", instance, [X, W], atoms, True, pairs,
-                       judged=numpy_active())
+    return kernel_gate("vector", "vector", instance, [X, W], atoms, True,
+                       pairs, judged=numpy_active())
 
 
 def wcoj_gate(n_pairs=64, n_mid=25, pairs=11) -> Verdict:
     """Triangles ``e(X, Y), e(Y, Z), e(Z, X)`` over a tripartite graph
     whose fully shared middle layer makes every two-path live, while
-    only the planted ``w_p -> u_p`` edges close a triangle."""
+    only the planted ``w_p -> u_p`` edges close a triangle.  The fast
+    arm is ``auto``, whose pick here must be the leapfrog engine."""
+    from repro.query import choose_kernel
+
     e = Predicate("e", 2)
     instance = Instance()
     for p in range(n_pairs):
@@ -165,7 +169,10 @@ def wcoj_gate(n_pairs=64, n_mid=25, pairs=11) -> Verdict:
     for p in range(n_pairs):
         instance.add(Atom(e, [Constant(f"w{p}"), Constant(f"u{p}")]))
     atoms = [Atom(e, [X, Y]), Atom(e, [Y, Z]), Atom(e, [Z, X])]
-    return kernel_gate("wcoj", instance, [X, Y, Z], atoms, False, pairs)
+    pick = choose_kernel(atoms, instance)
+    if pick != "wcoj":
+        raise AssertionError(f"wcoj: auto picked {pick!r}, not the leapfrog engine")
+    return kernel_gate("wcoj", "auto", instance, [X, Y, Z], atoms, False, pairs)
 
 
 def incremental_gate(n=150, deltas=12, pairs=5) -> Verdict:

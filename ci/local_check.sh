@@ -16,8 +16,8 @@ PYTHONPATH=src python -X dev -W error::ResourceWarning \
     -W error::pytest.PytestUnraisableExceptionWarning \
     -m pytest -x -q tests
 
-echo "== tier-1 tests without NumPy (pure-Python kernels) =="
-REPRO_NO_NUMPY=1 PYTHONPATH=src python -m pytest -x -q tests
+echo "== tier-1 tests without NumPy (tuple loop for every kernel) =="
+PYTHONPATH=src python ci/without_numpy.py -x -q tests
 
 echo "== paper-experiment suite (E1-E11) =="
 PYTHONPATH=src python -m pytest -x -q benchmarks

@@ -52,7 +52,7 @@ from typing import (
 
 from ..errors import BudgetExceededError
 from ..model import Atom, Instance, TGD
-from ..query.kernels import batch_rule_matches
+from ..query import kernels
 from .triggers import ChaseVariant, Trigger, rule_exec
 
 FrontierFact = Union[int, Atom]
@@ -95,22 +95,23 @@ def delta_triggers(
     rules: Sequence[TGD],
     instance: Instance,
     new_facts: Sequence[FrontierFact],
+    kernel: str = "tuple",
 ) -> Iterator[Trigger]:
     """Triggers whose body match involves at least one fact from
     ``new_facts`` (fact ordinals, or Atoms on the public surface).
     May repeat a trigger (when several body atoms hit new facts); the
     caller's fired-key set deduplicates.
 
-    When the instance's ``kernel`` policy says so ("vector" always;
-    "auto" for fat batches of at least :data:`_FAT_ROUND_MIN` candidate
-    rows), a (rule, pivot) batch is evaluated by the columnar batch
-    kernel (:func:`repro.query.kernels.batch_rule_matches`) instead of
-    the tuple loop.  The batch join is order-exact, so the trigger
-    stream — ids, order, and all — is byte-identical either way."""
+    When ``kernel`` says so ("vector" always; "auto" for fat batches of
+    at least :data:`_FAT_ROUND_MIN` candidate rows) and NumPy is
+    installed, a (rule, pivot) batch is evaluated by the columnar
+    batch kernel (:func:`repro.query.kernels.batch_rule_matches`)
+    instead of the tuple loop.  The batch join is order-exact, so the
+    trigger stream — ids, order, and all — is byte-identical either
+    way.  NumPy is imported only once a batch qualifies."""
     groups = _group_rows(instance, new_facts)
     if not groups:
         return
-    kernel = instance.kernel
     batch_always = kernel == "vector"
     batch_fat = batch_always or kernel == "auto"
     for rule_index, rule in enumerate(rules):
@@ -121,10 +122,12 @@ def delta_triggers(
             if not candidates:
                 continue
             exec_ = rule_exec(instance, rule, pivot)
-            if batch_fat and (
-                batch_always or len(candidates) >= _FAT_ROUND_MIN
+            if (
+                batch_fat
+                and (batch_always or len(candidates) >= _FAT_ROUND_MIN)
+                and kernels.numpy_active()
             ):
-                for ids in batch_rule_matches(
+                for ids in kernels.batch_rule_matches(
                     instance, exec_.pivot_step, exec_.rest,
                     candidates, exec_.emit_slots,
                 ):
@@ -219,6 +222,10 @@ class DeltaEngine:
     *between* ``next_round`` calls — i.e. while applying a materialized
     round — never during one (``next_round`` itself never mutates it).
 
+    ``kernel`` is the discovery tier :func:`delta_triggers` runs
+    (``"tuple"``, ``"vector"`` or ``"auto"``; the trigger stream is the
+    same on each).
+
     ``budget`` (optional, a :class:`repro.runtime.budget.Budget`) is
     checked during each round's discovery pass — every
     ``BUDGET_CHECK_EVERY`` discovered triggers — and raises
@@ -228,8 +235,8 @@ class DeltaEngine:
     round-consistent partial result.
     """
 
-    __slots__ = ("rules", "instance", "fired", "budget", "fired_log",
-                 "_frontier", "_variant")
+    __slots__ = ("rules", "instance", "kernel", "fired", "budget",
+                 "fired_log", "_frontier", "_variant")
 
     #: Budget-check cadence inside a round's discovery/dedup loop.
     BUDGET_CHECK_EVERY = 2048
@@ -242,9 +249,11 @@ class DeltaEngine:
         budget=None,
         fired: Optional[Set[Hashable]] = None,
         frontier: Optional[Sequence[FrontierFact]] = None,
+        kernel: str = "tuple",
     ):
         self.rules: List[TGD] = list(rules)
         self.instance = instance
+        self.kernel = kernel
         # ``fired``/``frontier`` pre-seed the evaluation state when a
         # checkpointed run resumes (repro.chase.checkpoint): the set of
         # already-handed-out keys and the ordinals still awaiting a
@@ -307,7 +316,9 @@ class DeltaEngine:
         if not frontier:
             return []
         self._frontier = []
-        discovered = delta_triggers(self.rules, self.instance, frontier)
+        discovered = delta_triggers(
+            self.rules, self.instance, frontier, self.kernel
+        )
         fired = self.fired
         out: List[Trigger] = []
         new_keys: List[Hashable] = []

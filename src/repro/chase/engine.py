@@ -32,6 +32,7 @@ from ..model import (
     TGD,
     validate_program,
 )
+from ..query.kernels import check_kernel
 from ..runtime.budget import (
     STOP_FIXPOINT,
     STOP_STEP_BUDGET,
@@ -89,10 +90,13 @@ class _ChaseRun:
         budget: Optional[Budget],
         fired=None,
         frontier=None,
+        kernel: str = "tuple",
     ) -> "_ChaseRun":
         """The part both constructors share: start ``budget`` and
-        build the run's ``DeltaEngine``.  The run has no checkpointer
-        and nothing pending yet."""
+        build the run's ``DeltaEngine``, which discovers on ``kernel``
+        (no store records one, so a stored run discovers on
+        ``"tuple"``).  The run has no checkpointer and nothing pending
+        yet."""
         if budget is not None:
             budget.start()
         run = cls.__new__(cls)
@@ -104,7 +108,7 @@ class _ChaseRun:
         run._factory = factory
         run._engine = DeltaEngine(
             rules, instance, variant,
-            budget=budget, fired=fired, frontier=frontier,
+            budget=budget, fired=fired, frontier=frontier, kernel=kernel,
         )
         run._steps = steps
         run._ckpt = None
@@ -132,18 +136,12 @@ class _ChaseRun:
             raise ValueError(f"unknown chase variant {variant!r}")
         if max_steps <= 0:
             raise ValueError(f"max_steps must be positive, got {max_steps}")
-        from ..query.kernels import KERNELS
-
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
+        check_kernel(kernel)
         rules = list(rules)
         validate_program(rules)
         instance = Instance(database)
-        instance.kernel = kernel
         run = cls._new(instance, rules, variant, max_steps, NullFactory(),
-                       [], budget)
+                       [], budget, kernel=kernel)
         if save is not None:
             # Checkpoints (and the durable store under them) load only
             # for runs that save.
@@ -362,9 +360,8 @@ def run_chase(
     for fat rounds (many candidate rows per pivot).  The batch join is
     order-exact, so every kernel produces a **byte-identical** chase —
     same facts in the same order, same trigger keys, same null
-    numbering; only speed changes.  (``"wcoj"`` is accepted and falls
-    back to tuple discovery — rule bodies are pivot-seeded joins, not
-    free multiway intersections.)
+    numbering; only speed changes.  Without NumPy every kernel
+    discovers with the tuple loop.
 
     For the oblivious and semi-oblivious variants, the paper recalls
     that all fair sequences agree on termination (CT_∀ = CT_∃), so the

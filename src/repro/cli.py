@@ -72,6 +72,7 @@ from .parser import (
     parse_program,
     parse_query,
 )
+from .query.kernels import KERNELS
 from .runtime import Budget
 from .termination import decide_termination
 
@@ -206,23 +207,27 @@ def _chase_summary(variant: str, result) -> None:
           f"{len(result.instance)} facts")
 
 
+def _refuse_given(refusal: str, flags) -> None:
+    """A usage error that names every flag of ``flags`` (``(name,
+    value)`` pairs) that was given; ``None`` and ``False`` mean not
+    given.  ``refusal`` says what owns those settings instead."""
+    given = [flag for flag, value in flags if value not in (None, False)]
+    if given:
+        raise ValueError(f"{refusal}; {', '.join(given)} only apply to "
+                         f"fresh runs")
+
+
 def _cmd_chase(args) -> int:
     budget = _budget_from(args)
     if args.resume is not None:
-        # The store fixes the run's variant, kernel and directory.
-        given = [
-            flag for flag, value in (
-                ("DB", args.database),
-                ("--save", args.save), ("--variant", args.variant),
-                ("--kernel", args.kernel), ("--overwrite", args.overwrite),
-            )
-            if value not in (None, False)
-        ]
-        if given:
-            raise ValueError(
-                f"--resume continues its own store; {', '.join(given)} "
-                f"only apply to fresh runs"
-            )
+        # The store fixes the run's variant and directory.  No store
+        # records a kernel (a resumed leg discovers with the tuple
+        # loop), so --kernel would change nothing and is refused too.
+        _refuse_given("--resume continues its own store", (
+            ("DB", args.database),
+            ("--save", args.save), ("--variant", args.variant),
+            ("--kernel", args.kernel), ("--overwrite", args.overwrite),
+        ))
         rules = _load_rules(args.rules) if args.rules else None
         # A bare --resume must make progress after a step_budget stop,
         # so the CLI applies its own fresh-run default rather than
@@ -314,6 +319,9 @@ def _cmd_query(args) -> int:
     if args.db is not None:
         if len(inputs) != 1:
             raise ValueError("with --db, pass just the query")
+        _refuse_given("--db answers over its saved store", (
+            ("--variant", args.variant), ("--max-steps", args.max_steps),
+        ))
         args.query = inputs[0]
         with _sigint_cancels(budget):
             return _query_over_store(args, budget)
@@ -325,10 +333,11 @@ def _cmd_query(args) -> int:
     rules = _load_rules(args.rules)
     database = _load_database(args.database)
     query = parse_query(args.query)
-    variant = _VARIANTS[args.variant]
+    variant = _VARIANTS[args.variant or "r"]
+    max_steps = args.max_steps if args.max_steps is not None else 10_000
     with _sigint_cancels(budget):
         result = run_chase(
-            database, rules, variant, max_steps=args.max_steps,
+            database, rules, variant, max_steps=max_steps,
             kernel=args.kernel, budget=budget,
         )
         _chase_summary(variant, result)
@@ -455,7 +464,14 @@ def _cmd_serve(args) -> int:
 
         from .storage import CHASE_STATE, open_instance
 
-        if os.path.exists(os.path.join(args.db, CHASE_STATE)):
+        extendable = os.path.exists(os.path.join(args.db, CHASE_STATE))
+        # The store fixes the chase; a plain store has none to cap.
+        _refuse_given("--db serves its saved store", (
+            ("--variant", args.variant), ("--save", args.save),
+            ("--overwrite", args.overwrite),
+            ("--max-steps", None if extendable else args.max_steps),
+        ))
+        if extendable:
             session = ChaseSession.resume(
                 args.db, budget=budget, max_steps=args.max_steps,
             )
@@ -481,7 +497,7 @@ def _cmd_serve(args) -> int:
             raise ValueError("serve needs RULES and DB (or --db DIR)")
         rules = _load_rules(args.rules)
         database = _load_database(args.database)
-        variant = _VARIANTS[args.variant]
+        variant = _VARIANTS[args.variant or "r"]
         max_steps = (
             args.max_steps if args.max_steps is not None else 10_000
         )
@@ -514,13 +530,12 @@ def _add_kernel_flag(
     """``--kernel``; ``default=None`` lets the command tell a given
     flag from the default, which it then resolves to ``tuple``."""
     parser.add_argument(
-        "--kernel", choices=("tuple", "vector", "wcoj", "auto"),
-        default=default,
+        "--kernel", choices=KERNELS, default=default,
         help="join execution tier (repro.query.kernels): 'tuple' is "
              "one-binding-at-a-time, 'vector' runs columnar batch "
-             "hash joins, 'wcoj' the leapfrog worst-case-optimal "
-             "join, 'auto' picks per query/round from the statistics "
-             "(default: tuple)")
+             "hash joins (NumPy; the tuple loop without it), 'auto' "
+             "picks per query/round from the statistics, leapfrog "
+             "for cyclic queries (default: tuple)")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -600,8 +615,10 @@ def _add_query(query: argparse.ArgumentParser) -> None:
     query.add_argument("--certain", action="store_true",
                        help="print only null-free (certain) answers, "
                             "sorted")
-    query.add_argument("--variant", choices=sorted(_VARIANTS), default="r")
-    query.add_argument("--max-steps", type=int, default=10_000)
+    # --variant and --max-steps default to None so that --db can
+    # refuse them; chasing runs resolve None to r and 10000.
+    query.add_argument("--variant", choices=sorted(_VARIANTS), default=None)
+    query.add_argument("--max-steps", type=int, default=None)
     _add_kernel_flag(query)
     _add_budget_flags(query)
     query.set_defaults(func=_cmd_query)
@@ -659,7 +676,8 @@ def _add_serve(serve: argparse.ArgumentParser) -> None:
                        help="at most N ingests waiting for the writer "
                             "lock; excess is shed with 429 + "
                             "Retry-After (default 16)")
-    serve.add_argument("--variant", choices=sorted(_VARIANTS), default="r")
+    # None, so that --db can refuse it; fresh runs resolve it to r.
+    serve.add_argument("--variant", choices=sorted(_VARIANTS), default=None)
     serve.add_argument("--max-steps", type=int, default=None,
                        help="step budget for the initial chase and all "
                             "ingest legs combined (default 10000)")

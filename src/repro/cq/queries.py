@@ -101,7 +101,9 @@ class ConjunctiveQuery:
 
     def compiled(self, kernel: str = "tuple") -> CompiledQuery:
         """The (cached) int-native compiled form under execution
-        ``kernel`` (see :data:`repro.query.kernels.KERNELS`)."""
+        ``kernel``: ``"tuple"``, ``"vector"`` or ``"auto"`` (see
+        :data:`repro.query.kernels.KERNELS`; any other value raises
+        ``ValueError``).  The kernel changes speed, never answers."""
         compiled = self._compiled.get(kernel)
         if compiled is None:
             compiled = CompiledQuery(

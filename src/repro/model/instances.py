@@ -78,7 +78,6 @@ class Instance:
     __slots__ = (
         "_store",
         "_atoms",
-        "kernel",
         "_domain_cache",
         "_constants_cache",
         "_nulls_cache",
@@ -109,12 +108,6 @@ class Instance:
         # on object-level adds, decoded on demand everywhere else (most
         # engine-created facts never materialize at all).
         self._atoms: Dict[int, Atom] = {}
-        # Execution-kernel policy consulted by the chase engines'
-        # trigger discovery ("tuple" is the original one-binding-at-a-
-        # time executor; "vector"/"auto" let fat rounds run the batch
-        # kernels of repro.query.kernels — results are byte-identical
-        # either way, the batch join is order-exact).
-        self.kernel: str = "tuple"
         # Size-validated decode caches over the store's domain.
         self._domain_cache: Optional[FrozenSet[Term]] = None
         self._constants_cache: Optional[Tuple[int, FrozenSet[Constant]]] = None
@@ -142,7 +135,6 @@ class Instance:
             # their add() checks still run.
             self._store = facts._store.clone()
             self._atoms = dict(facts._atoms)
-            self.kernel = facts.kernel
             return
         for fact in facts:
             self.add(fact)
@@ -574,7 +566,6 @@ class SnapshotInstance(Instance):
         # the same fact, so concurrent lazy decoding is safe and work
         # done by one side benefits the other.
         self._atoms = base._atoms
-        self.kernel = base.kernel
 
     @property
     def watermark(self) -> int:
@@ -601,9 +592,7 @@ class SnapshotInstance(Instance):
     def copy(self) -> Instance:
         """An independent, mutable in-memory instance holding exactly
         the facts below the watermark."""
-        out = Instance(store=self._store.clone())
-        out.kernel = self.kernel
-        return out
+        return Instance(store=self._store.clone())
 
     def save(self, path: str, overwrite: bool = False):
         raise TypeError(

@@ -92,10 +92,12 @@ class CompiledQuery:
     :data:`repro.query.kernels.KERNELS`): ``"tuple"`` is the original
     tuple-at-a-time executor and the default; ``"vector"`` evaluates
     the same plan as columnar batch hash joins (order-exact — answers
-    come back byte-identical, sequence included); ``"wcoj"`` runs the
-    leapfrog worst-case-optimal multiway join (set-identical answers,
-    enumerated in trie order); ``"auto"`` picks per instance from the
-    join graph's shape and the columnar statistics.
+    come back byte-identical, sequence included); ``"auto"`` picks per
+    instance from the join graph's shape and the columnar statistics,
+    running the leapfrog worst-case-optimal join on cyclic bodies
+    (set-identical answers, enumerated in trie order).  Without NumPy
+    a ``vector`` evaluation runs the tuple executor, with the same
+    answers in the same order.
 
     Instances are stateless with respect to any particular
     :class:`~repro.model.instances.Instance` — resolved plans live in
@@ -121,11 +123,7 @@ class CompiledQuery:
     ):
         self.answer_variables: Tuple[Variable, ...] = tuple(answer_variables)
         self.atoms: Tuple[Atom, ...] = tuple(atoms)
-        if kernel not in _kernels.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of "
-                f"{_kernels.KERNELS}"
-            )
+        _kernels.check_kernel(kernel)
         self.kernel = kernel
         if not self.atoms:
             raise ValueError("a compiled query needs at least one atom")
@@ -216,20 +214,23 @@ class CompiledQuery:
         return entry
 
     def _effective_kernel(self, instance: Instance) -> str:
-        """Resolve ``"auto"`` to a concrete kernel for ``instance``
-        (cached per growth bucket — the pick is a statistics read)."""
+        """The kernel that runs over ``instance``: ``"auto"`` resolved
+        per growth bucket (the pick is a statistics read), then
+        ``"vector"`` mapped to ``"tuple"`` when NumPy is not installed.
+        Only a ``"vector"`` pick imports NumPy."""
         kernel = self.kernel
-        if kernel != "auto":
-            return kernel
-        cache = instance._plans
-        key = ("kern", self.atoms, len(instance).bit_length())
-        pick = cache.get(key)
-        if pick is None:
-            pick = _kernels.choose_kernel(self.atoms, instance)
-            if len(cache) >= _RESOLVE_CACHE_CAP:
-                cache.clear()
-            cache[key] = pick
-        return pick
+        if kernel == "auto":
+            cache = instance._plans
+            key = ("kern", self.atoms, len(instance).bit_length())
+            kernel = cache.get(key)
+            if kernel is None:
+                kernel = _kernels.choose_kernel(self.atoms, instance)
+                if len(cache) >= _RESOLVE_CACHE_CAP:
+                    cache.clear()
+                cache[key] = kernel
+        if kernel == "vector" and not _kernels.numpy_active():
+            return "tuple"
+        return kernel
 
     def _unsatisfiable(self, instance: Instance, steps) -> bool:
         """Early-out (carried PR 5 follow-up): True when some step of
@@ -269,8 +270,9 @@ class CompiledQuery:
         coarser projection and need every match).
 
         Under ``kernel="vector"`` the same sequence comes back from the
-        batch pipeline (order-exact); ``"wcoj"`` yields the same
-        multiset in trie order."""
+        batch pipeline (order-exact); the leapfrog engine ``"auto"``
+        picks for cyclic bodies yields the same multiset in trie
+        order."""
         _, _, project, slots, exec_ = self._resolved(instance)
         if self._unsatisfiable(instance, exec_.steps):
             return

@@ -9,12 +9,11 @@ each relation once as a dense int matrix, filter constants and
 repeated-variable positions with vectorized masks, and join whole
 column arrays at a time with a sort-based vectorized hash join
 (joint factorization + ``searchsorted`` range expansion).  NumPy is an
-*optional* dependency: every kernel has a pure-Python batch fallback
-(dict-based hash joins over the same column layout), selected
-automatically when NumPy is missing or the ``REPRO_NO_NUMPY``
-environment variable is ``1``/``true``/``yes``/``on``, and proven
-answer-identical by the property suite.  NumPy is imported when the
-first batch kernel runs, not when this module is.
+*optional* dependency and the only batch engine: without it, callers
+run the tuple loop wherever they would have batched (see
+:func:`numpy_active`), which changes no answer because the batch join
+reproduces that loop's order.  NumPy is imported when the first batch
+kernel is chosen, not when this module is.
 
 Two kernels live here:
 
@@ -39,6 +38,7 @@ Two kernels live here:
   Python on purpose: it measured faster than a NumPy twin (PERF.md).  Output order
   is the leapfrog order (sorted by term id along the variable order),
   *not* the tuple engine's — consumers get set-identical answers.
+  Only ``auto`` runs it; it is not a kernel a caller can force.
 
 Kernel selection (``"auto"``) is cost-based from the columnar
 statistics: cyclic join graphs (GYO reduction leaves a residue) pick
@@ -59,17 +59,16 @@ long as the relation has not grown, and snapshot-bounded accessors
 
 from __future__ import annotations
 
-import os
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ReproError
 from ..model.atoms import Atom
 from ..model.instances import Instance
 from ..model.joinplan import _RESOLVE_CACHE_CAP, PlanExec, ResolvedStep
 
 #: The closed kernel vocabulary accepted by ``CompiledQuery(kernel=)``,
 #: the CLI's ``--kernel`` flag, and the serve API.
-KERNELS = ("tuple", "vector", "wcoj", "auto")
+KERNELS = ("tuple", "vector", "auto")
 
 #: ``auto`` picks the vector kernel only when the conjunction's
 #: relations hold at least this many rows in total — below it the
@@ -81,45 +80,32 @@ AUTO_VECTOR_MIN_ROWS = 2048
 _CODE_BITS = 62
 
 _UNLOADED = object()
-#: The NumPy module the batch kernels use, ``None`` for the pure-Python
-#: fallback, or :data:`_UNLOADED` until the first batch kernel runs —
-#: importing this module does not import NumPy.
+#: The NumPy module the batch kernels use, ``None`` when it is not
+#: installed, or :data:`_UNLOADED` until the first :func:`numpy_active`
+#: call — importing this module does not import NumPy.
 _np = _UNLOADED
 
-#: ``REPRO_NO_NUMPY`` values (case ignored) that disable / keep NumPy.
-_NO_NUMPY_TRUE = ("1", "true", "yes", "on")
-_NO_NUMPY_FALSE = ("", "0", "false", "no", "off")
 
-
-def _numpy():
-    """Resolve :data:`_np` on first use: ``None`` when NumPy is missing
-    or ``REPRO_NO_NUMPY`` disables it.  A value outside the two
-    vocabularies raises :class:`~repro.errors.ReproError` and leaves
-    :data:`_np` unresolved."""
-    global _np
-    if _np is _UNLOADED:
-        raw = os.environ.get("REPRO_NO_NUMPY", "")
-        if raw.lower() in _NO_NUMPY_TRUE:
-            _np = None
-        elif raw.lower() in _NO_NUMPY_FALSE:
-            try:
-                import numpy
-            except ImportError:  # pragma: no cover - no-NumPy CI leg
-                numpy = None
-            _np = numpy
-        else:
-            raise ReproError(
-                f"REPRO_NO_NUMPY={raw!r}: use 1, true, yes or on to "
-                f"disable NumPy, or 0, false, no, off or empty to keep it"
-            )
-    return _np
+def check_kernel(kernel: str) -> None:
+    """Raise ``ValueError`` unless ``kernel`` is one of :data:`KERNELS`."""
+    if kernel not in KERNELS:
+        raise ValueError(
+            f"unknown kernel {kernel!r}; expected one of {KERNELS}"
+        )
 
 
 def numpy_active() -> bool:
-    """True iff the vectorized (NumPy) paths are in use; False means
-    every kernel runs its pure-Python batch fallback.  The first call
-    (or the first batch kernel) imports NumPy."""
-    return _numpy() is not None
+    """True iff NumPy is installed, i.e. the batch kernels can run;
+    callers run the tuple loop when it is False.  The first call
+    imports NumPy."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:
+            numpy = None
+        _np = numpy
+    return _np is not None
 
 
 # -- join-graph shape -------------------------------------------------------
@@ -175,9 +161,10 @@ def is_cyclic(atoms: Sequence[Atom]) -> bool:
 
 def choose_kernel(atoms: Sequence[Atom], instance: Instance) -> str:
     """The cost-based ``auto`` pick for one conjunction over one
-    instance: ``wcoj`` for cyclic join graphs with at least three
-    atoms, ``vector`` for fat multi-atom joins (total candidate rows
-    at or above :data:`AUTO_VECTOR_MIN_ROWS`), ``tuple`` otherwise."""
+    instance: ``wcoj`` (the leapfrog engine, which only ``auto``
+    runs) for cyclic join graphs with at least three atoms,
+    ``vector`` for fat multi-atom joins (total candidate rows at or
+    above :data:`AUTO_VECTOR_MIN_ROWS`), ``tuple`` otherwise."""
     if len(atoms) >= 3 and is_cyclic(atoms):
         return "wcoj"
     if len(atoms) >= 2:
@@ -192,25 +179,39 @@ def choose_kernel(atoms: Sequence[Atom], instance: Instance) -> str:
 # -- candidate materialization ----------------------------------------------
 
 
-def _relation_matrix(instance: Instance, pid: int, arity: int):
-    """The relation's rows as a dense ``(n, arity)`` int64 matrix
-    (NumPy path), cached per ``(pid, row count)`` — append-only rows
-    make the count a sufficient validity key, and snapshot-bounded
-    ``rows_of`` keeps views watermark-consistent."""
-    rows = instance.rows_of(pid)
+def _matrix(rows: Sequence[Tuple[int, ...]], arity: int):
+    """``rows`` as a dense ``(len(rows), arity)`` int64 matrix."""
     n = len(rows)
+    return _np.fromiter(
+        chain.from_iterable(rows), dtype=_np.int64, count=n * arity
+    ).reshape(n, arity)
+
+
+def _filtered(mat, step: ResolvedStep):
+    """The rows of ``mat`` that pass ``step``'s constant and
+    intra-atom repeated-variable checks."""
+    mask = None
+    for pos, tid in step.const_checks:
+        cond = mat[:, pos] == tid
+        mask = cond if mask is None else (mask & cond)
+    for _, p0, rest in step.groups:
+        for p in rest:
+            cond = mat[:, p] == mat[:, p0]
+            mask = cond if mask is None else (mask & cond)
+    return mat if mask is None else mat[mask]
+
+
+def _relation_matrix(instance: Instance, pid: int, arity: int):
+    """The relation's rows as a :func:`_matrix`, cached per ``(pid,
+    row count)`` — append-only rows make the count a sufficient
+    validity key, and snapshot-bounded ``rows_of`` keeps views
+    watermark-consistent."""
+    rows = instance.rows_of(pid)
     cache = instance._plans
-    key = ("kmat", pid, n)
+    key = ("kmat", pid, len(rows))
     mat = cache.get(key)
     if mat is None:
-        from itertools import chain
-
-        if n:
-            mat = _np.fromiter(
-                chain.from_iterable(rows), dtype=_np.int64, count=n * arity
-            ).reshape(n, arity)
-        else:
-            mat = _np.empty((0, arity), dtype=_np.int64)
+        mat = _matrix(rows, arity)
         if len(cache) >= _RESOLVE_CACHE_CAP:
             cache.clear()
         cache[key] = mat
@@ -224,38 +225,29 @@ def _step_filter_key(step: ResolvedStep) -> Tuple:
     )
 
 
-def _candidates_np(instance: Instance, step: ResolvedStep):
+def _candidate_matrix(instance: Instance, step: ResolvedStep):
     """``step``'s candidate rows — constants and intra-atom repeated
     variables pre-verified — as a filtered matrix, cached per
     ``(pid, row count, filter)``."""
-    rows = instance.rows_of(step.pid)
-    n = len(rows)
-    arity = len(step.build)
+    n = len(instance.rows_of(step.pid))
     cache = instance._plans
     key = ("kcand", step.pid, n, _step_filter_key(step))
     cand = cache.get(key)
     if cand is None:
-        mat = _relation_matrix(instance, step.pid, arity)
-        mask = None
-        for pos, tid in step.const_checks:
-            cond = mat[:, pos] == tid
-            mask = cond if mask is None else (mask & cond)
-        for _, p0, rest in step.groups:
-            for p in rest:
-                cond = mat[:, p] == mat[:, p0]
-                mask = cond if mask is None else (mask & cond)
-        cand = mat if mask is None else mat[mask]
+        cand = _filtered(
+            _relation_matrix(instance, step.pid, len(step.build)), step
+        )
         if len(cache) >= _RESOLVE_CACHE_CAP:
             cache.clear()
         cache[key] = cand
     return cand
 
 
-def _candidates_py(
+def _candidates(
     instance: Instance, step: ResolvedStep
 ) -> List[Tuple[int, ...]]:
-    """The pure-Python twin of :func:`_candidates_np`: a filtered row
-    list in insertion order."""
+    """:func:`_candidate_matrix` as a filtered row list in insertion
+    order — what the leapfrog tries are built from."""
     rows = instance.rows_of(step.pid)
     cache = instance._plans
     key = ("kcand-py", step.pid, len(rows), _step_filter_key(step))
@@ -287,10 +279,10 @@ def _candidates_py(
     return cand
 
 
-# -- the vectorized hash-join pipeline (NumPy path) -------------------------
+# -- the vectorized hash-join pipeline --------------------------------------
 
 
-def _join_codes_np(probe_cols, build_cols):
+def _join_codes(probe_cols, build_cols):
     """Joint factorization of a multi-column equi-join key: returns
     ``(probe_code, build_code)`` int64 arrays where equal codes mean
     equal key tuples.  Columns are factorized against the union of
@@ -321,7 +313,7 @@ def _join_codes_np(probe_cols, build_cols):
     return pcode, bcode
 
 
-def _expand_join_np(pcode, bcode):
+def _expand_join(pcode, bcode):
     """The order-exact range expansion of a vectorized hash join:
     ``(probe_idx, build_idx)`` index arrays such that iterating them
     visits, for each probe tuple in order, its matching build rows in
@@ -344,9 +336,9 @@ def _expand_join_np(pcode, bcode):
     return probe_idx, build_idx
 
 
-class _BatchNp:
-    """The NumPy batch state: one int64 column per bound slot, all of
-    one length ``m`` (``m`` starts at 1 with zero columns — the single
+class _Batch:
+    """The batch state: one int64 column per bound slot, all of one
+    length ``m`` (``m`` starts at 1 with zero columns — the single
     empty assignment)."""
 
     __slots__ = ("cols", "m")
@@ -358,7 +350,7 @@ class _BatchNp:
     def apply(self, instance: Instance, step: ResolvedStep) -> bool:
         """Join one step in; False when the batch became empty."""
         np = _np
-        cand = _candidates_np(instance, step)
+        cand = _candidate_matrix(instance, step)
         k = len(cand)
         cols = self.cols
         bound = [(slot, p0) for slot, p0, _ in step.groups if slot in cols]
@@ -390,8 +382,8 @@ class _BatchNp:
             return self.m > 0
         probe_cols = [cols[slot] for slot, _ in bound]
         build_cols = [cand[:, p0] for _, p0 in bound]
-        pcode, bcode = _join_codes_np(probe_cols, build_cols)
-        probe_idx, build_idx = _expand_join_np(pcode, bcode)
+        pcode, bcode = _join_codes(probe_cols, build_cols)
+        probe_idx, build_idx = _expand_join(pcode, bcode)
         if len(probe_idx) == 0:
             self.m = 0
             return False
@@ -400,6 +392,16 @@ class _BatchNp:
         for slot, p0 in fresh:
             cols[slot] = cand[build_idx, p0]
         self.m = len(probe_idx)
+        return True
+
+    def join(self, instance: Instance, steps, budget) -> bool:
+        """:meth:`apply` every step of ``steps`` in order, checking
+        ``budget`` before each; False as soon as the batch is empty."""
+        for step in steps:
+            if budget is not None:
+                budget.raise_if_exceeded()
+            if not self.apply(instance, step):
+                return False
         return True
 
     def project(self, slots: Sequence[int]) -> List[Tuple[int, ...]]:
@@ -417,100 +419,6 @@ class _BatchNp:
         return list(map(tuple, stacked.tolist()))
 
 
-class _BatchPy:
-    """The pure-Python twin of :class:`_BatchNp`: columns are plain
-    lists, joins are dict-built hash joins — same pipeline, same
-    order, no NumPy."""
-
-    __slots__ = ("cols", "m")
-
-    def __init__(self, cols: Dict[int, List[int]], m: int):
-        self.cols = cols
-        self.m = m
-
-    def apply(self, instance: Instance, step: ResolvedStep) -> bool:
-        cand = _candidates_py(instance, step)
-        k = len(cand)
-        cols = self.cols
-        bound = [(slot, p0) for slot, p0, _ in step.groups if slot in cols]
-        fresh = [
-            (slot, p0) for slot, p0, _ in step.groups if slot not in cols
-        ]
-        if k == 0:
-            self.m = 0
-            return False
-        if not bound:
-            m = self.m
-            if fresh:
-                if cols:
-                    for slot in list(cols):
-                        old = cols[slot]
-                        cols[slot] = [v for v in old for _ in range(k)]
-                    for slot, p0 in fresh:
-                        column = [row[p0] for row in cand]
-                        cols[slot] = column * m
-                    self.m = m * k
-                else:
-                    for slot, p0 in fresh:
-                        cols[slot] = [row[p0] for row in cand]
-                    self.m = k
-            return self.m > 0
-        # Build side: key tuple -> candidate indexes in insertion order.
-        table: Dict[Tuple[int, ...], List[int]] = {}
-        build_positions = [p0 for _, p0 in bound]
-        for j, row in enumerate(cand):
-            key = tuple(row[p] for p in build_positions)
-            hit = table.get(key)
-            if hit is None:
-                table[key] = [j]
-            else:
-                hit.append(j)
-        probe_cols = [cols[slot] for slot, _ in bound]
-        probe_idx: List[int] = []
-        build_idx: List[int] = []
-        for i in range(self.m):
-            key = tuple(col[i] for col in probe_cols)
-            hit = table.get(key)
-            if hit is not None:
-                for j in hit:
-                    probe_idx.append(i)
-                    build_idx.append(j)
-        if not probe_idx:
-            self.m = 0
-            return False
-        for slot in list(cols):
-            old = cols[slot]
-            cols[slot] = [old[i] for i in probe_idx]
-        for slot, p0 in fresh:
-            cols[slot] = [cand[j][p0] for j in build_idx]
-        self.m = len(probe_idx)
-        return True
-
-    def project(self, slots: Sequence[int]) -> List[Tuple[int, ...]]:
-        if self.m == 0:
-            return []
-        if not slots:
-            return [()] * self.m
-        columns = [self.cols[s] for s in slots]
-        return list(zip(*columns))
-
-
-def _fresh_batch(seed_cols: Optional[Dict[int, Sequence[int]]] = None,
-                 m: int = 1):
-    """An empty (or seeded) batch on whichever engine is active."""
-    if _numpy() is not None:
-        cols = {}
-        if seed_cols:
-            for slot, values in seed_cols.items():
-                cols[slot] = _np.asarray(values, dtype=_np.int64)
-        return _BatchNp(cols, m)
-    cols_py: Dict[int, List[int]] = {}
-    if seed_cols:
-        for slot, values in seed_cols.items():
-            cols_py[slot] = list(values)
-    return _BatchPy(cols_py, m)
-
-
 def run_batch(
     exec_: PlanExec,
     instance: Instance,
@@ -521,22 +429,20 @@ def run_batch(
     pipeline and return every full match projected to ``answer_slots``
     — **not** deduplicated, in exactly the order ``exec_.run`` would
     enumerate (order-exactness is what lets the chase engines use this
-    kernel without perturbing results)."""
-    batch = _fresh_batch()
-    for step in exec_.steps:
-        if budget is not None:
-            budget.raise_if_exceeded()
-        if not batch.apply(instance, step):
-            return []
+    kernel without perturbing results).  NumPy must be installed
+    (:func:`numpy_active`), as for every batch entry point here."""
+    batch = _Batch({}, 1)
+    if not batch.join(instance, exec_.steps, budget):
+        return []
     return batch.project(tuple(answer_slots))
 
 
-def _row_codes_np(cols):
+def _row_codes(cols):
     """One int64 code per row of the column set, equal codes iff equal
     row tuples.  Term ids are non-negative, so ``max + 1`` is a valid
     mixed-radix base per column — one O(n) max instead of the O(n log n)
     per-column unique — with the same 62-bit overflow re-factorization
-    as :func:`_join_codes_np` when the radix product grows too wide."""
+    as :func:`_join_codes` when the radix product grows too wide."""
     np = _np
     code = None
     width = 1
@@ -563,45 +469,25 @@ def run_batch_unique(
     first-seen order — byte-identical to deduplicating the tuple
     engine's enumeration (order-exactness again), but the dedup runs
     at array speed instead of one Python set probe per match."""
-    batch = _fresh_batch()
-    for step in exec_.steps:
-        if budget is not None:
-            budget.raise_if_exceeded()
-        if not batch.apply(instance, step):
-            return []
-    slots = tuple(answer_slots)
-    if batch.m == 0:
+    batch = _Batch({}, 1)
+    if not batch.join(instance, exec_.steps, budget):
         return []
+    slots = tuple(answer_slots)
     if not slots:
         return [()]
-    if _np is not None and isinstance(batch, _BatchNp):
-        np = _np
-        cols = [batch.cols[s] for s in slots]
-        codes = _row_codes_np(cols)
-        _, first = np.unique(codes, return_index=True)
-        first.sort()
-        stacked = np.stack(cols, axis=1)[first]
-        return list(map(tuple, stacked.tolist()))
-    seen = set()
-    add = seen.add
-    out: List[Tuple[int, ...]] = []
-    for ids in batch.project(slots):
-        if ids not in seen:
-            add(ids)
-            out.append(ids)
-    return out
+    np = _np
+    cols = [batch.cols[s] for s in slots]
+    codes = _row_codes(cols)
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    stacked = np.stack(cols, axis=1)[first]
+    return list(map(tuple, stacked.tolist()))
 
 
 def batch_exists(exec_: PlanExec, instance: Instance, budget=None) -> bool:
     """Boolean evaluation on the vector kernel: does any full match
     exist?"""
-    batch = _fresh_batch()
-    for step in exec_.steps:
-        if budget is not None:
-            budget.raise_if_exceeded()
-        if not batch.apply(instance, step):
-            return False
-    return batch.m > 0
+    return _Batch({}, 1).join(instance, exec_.steps, budget)
 
 
 def batch_rule_matches(
@@ -623,63 +509,14 @@ def batch_rule_matches(
     # Seed: verify the pivot atom's constants and repeated variables
     # against each candidate row (the frontier hands in arbitrary rows
     # of the pivot's relation, in arrival order).
-    const_checks = pivot_step.const_checks
-    groups = pivot_step.groups
-    if _numpy() is not None:
-        from itertools import chain
-
-        arity = len(pivot_step.build)
-        n = len(pivot_rows)
-        mat = _np.fromiter(
-            chain.from_iterable(pivot_rows),
-            dtype=_np.int64,
-            count=n * arity,
-        ).reshape(n, arity)
-        mask = None
-        for pos, tid in const_checks:
-            cond = mat[:, pos] == tid
-            mask = cond if mask is None else (mask & cond)
-        for _, p0, rest_pos in groups:
-            for p in rest_pos:
-                cond = mat[:, p] == mat[:, p0]
-                mask = cond if mask is None else (mask & cond)
-        if mask is not None:
-            mat = mat[mask]
-        if len(mat) == 0:
-            return []
-        seed = {slot: mat[:, p0] for slot, p0, _ in groups}
-        batch = _BatchNp(dict(seed), len(mat))
-    else:
-        kept: List[Tuple[int, ...]] = []
-        for row in pivot_rows:
-            ok = True
-            for pos, tid in const_checks:
-                if row[pos] != tid:
-                    ok = False
-                    break
-            if ok:
-                for _, p0, rest_pos in groups:
-                    value = row[p0]
-                    for p in rest_pos:
-                        if row[p] != value:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                kept.append(row)
-        if not kept:
-            return []
-        batch = _BatchPy(
-            {slot: [row[p0] for row in kept] for slot, p0, _ in groups},
-            len(kept),
-        )
-    if rest is not None:
-        for step in rest.steps:
-            if budget is not None:
-                budget.raise_if_exceeded()
-            if not batch.apply(instance, step):
-                return []
+    mat = _filtered(_matrix(pivot_rows, len(pivot_step.build)), pivot_step)
+    if len(mat) == 0:
+        return []
+    batch = _Batch(
+        {slot: mat[:, p0] for slot, p0, _ in pivot_step.groups}, len(mat)
+    )
+    if rest is not None and not batch.join(instance, rest.steps, budget):
+        return []
     return batch.project(tuple(emit_slots))
 
 
@@ -702,7 +539,7 @@ class _Trie:
             key=lambda pair: rank[pair[0]],
         )
         self.slots = tuple(slot for slot, _ in ordered)
-        cand = _candidates_py(instance, step)
+        cand = _candidates(instance, step)
         if not ordered:
             # All-constant atom: a zero-column trie whose emptiness is
             # the existence verdict.

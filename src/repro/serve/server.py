@@ -255,17 +255,23 @@ class ChaseServer:
         if len(parts) != 3:
             raise _HttpError(400, f"malformed request line: {lines[0]!r}")
         method, target, _version = parts
-        length = 0
+        length = None
         for line in lines[1:]:
             if ":" not in line:
                 continue
             key, _, value = line.partition(":")
             if key.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
+                # RFC 9110 section 8.6: 1*DIGIT, so no sign, no "_".
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
                     raise _HttpError(400, "bad Content-Length")
-        if length < 0 or length > _MAX_BODY_BYTES:
+                # Differing values are an unrecoverable framing error
+                # (RFC 9112 section 6.3); identical duplicates are not.
+                if length is not None and int(value) != length:
+                    raise _HttpError(400, "conflicting Content-Length headers")
+                length = int(value)
+        length = length or 0
+        if length > _MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         path = target.split("?", 1)[0]

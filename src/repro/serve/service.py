@@ -63,6 +63,7 @@ from ..errors import BudgetExceededError, ReproError
 from ..model import Atom, Instance, Predicate
 from ..model.instances import SnapshotInstance
 from ..parser import atom_to_text, parse_atom, parse_fact, parse_query
+from ..query.kernels import check_kernel
 from ..runtime import faults
 from ..runtime.budget import Budget, CancelToken
 from ..storage.journal import MAX_ACKS, IngestJournal
@@ -100,8 +101,10 @@ class ChaseService:
     may ask for less, never more).  ``admission`` is the overload gate
     (a default :class:`~repro.serve.admission.AdmissionController`
     when omitted).  ``kernel`` is the execution tier every query runs
-    on (see :data:`repro.query.kernels.KERNELS` — the CLI's
-    ``--kernel``).
+    on: ``"tuple"``, ``"vector"`` or ``"auto"`` (see
+    :data:`repro.query.kernels.KERNELS` — the CLI's ``--kernel``).  It
+    does not reach the resident's chase: a session discovers on the
+    kernel it was started with, a resumed one on ``"tuple"``.
     """
 
     def __init__(
@@ -175,12 +178,7 @@ class ChaseService:
         """Refuse settings every request would inherit.  ``repro
         serve`` calls this before its chase, so a bad flag costs no
         chase."""
-        from ..query.kernels import KERNELS
-
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
+        check_kernel(kernel)
         # Every request without its own timeout_s gets this deadline,
         # so a bad one would fail every request (or, NaN, never trip).
         if request_timeout_s is not None and not request_timeout_s > 0:

@@ -477,3 +477,30 @@ class TestPerCommandParser:
         documented = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", doc))
         assert "--variant" in documented
         assert sorted(documented - options) == []
+
+    def test_documented_flag_values_are_the_choices(self, argparse_calls):
+        # Every ``--flag a|b|...`` in CLI.md (pipes escaped inside
+        # table cells) names only values the flag accepts, and every
+        # accepted value is documented for it somewhere.
+        build_parser()
+        with open(CLI_DOC, encoding="utf-8") as handle:
+            doc = handle.read()
+        choices = {}
+        for args, kwargs in argparse_calls["arguments"]:
+            if kwargs.get("choices") is not None:
+                for string in args:
+                    choices.setdefault(string, set()).update(
+                        kwargs["choices"]
+                    )
+        documented = {}
+        for flag, values in re.findall(
+            r"(?<![\w-])(--[a-z][\w-]*) (\w+(?:\\?\|\w+)+)", doc
+        ):
+            documented.setdefault(flag, set()).update(
+                re.split(r"\\?\|", values)
+            )
+        assert {"--variant", "--kernel", "--graph"} <= set(documented)
+        for flag, values in sorted(documented.items()):
+            assert values <= choices.get(flag, set()), flag
+        for flag, values in sorted(choices.items()):
+            assert values <= documented.get(flag, set()), flag

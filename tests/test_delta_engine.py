@@ -256,9 +256,9 @@ class TestNoMutationDuringEnumeration:
         # instance has not grown since discovery started.
         original = delta_module.delta_triggers
 
-        def guarded(rules, instance, new_facts):
+        def guarded(rules, instance, new_facts, kernel):
             size_at_start = len(instance)
-            for trigger in original(rules, instance, new_facts):
+            for trigger in original(rules, instance, new_facts, kernel):
                 assert len(instance) == size_at_start, (
                     "instance mutated while triggers were being "
                     "enumerated"

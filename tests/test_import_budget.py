@@ -20,7 +20,6 @@ import textwrap
 import pytest
 
 import repro
-from repro.query import numpy_active
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -53,6 +52,8 @@ PROGRAMS = {
     "db.facts": "e(a, b)\ne(b, c)\ne(c, a)\nf(b, a)\nf(c, b)\n",
 }
 QUERY = "q(X, Z) :- e(X, Y), f(Y, Z)"
+#: A cyclic query: ``auto`` runs the leapfrog engine on it.
+TRIANGLE = "q(X) :- e(X, Y), e(Y, Z), e(Z, X)"
 
 _COMMANDS_SCRIPT = textwrap.dedent("""
     import contextlib, io, json, os, sys
@@ -78,12 +79,16 @@ _COMMANDS_SCRIPT = textwrap.dedent("""
         run("query", rules, db, sys.argv[2], "--certain"),
     ]
     report["after_defaults"] = sorted(sys.modules)
-    report["wcoj"] = run("query", rules, db, sys.argv[2],
-                         "--kernel", "wcoj")
-    report["after_wcoj"] = sorted(sys.modules)
+    report["auto"] = [
+        run("query", rules, db, query, "--kernel", kernel)
+        for query in sys.argv[2:4] for kernel in ("tuple", "auto")
+    ]
+    report["after_auto"] = sorted(sys.modules)
     report["vector"] = run("query", rules, db, sys.argv[2],
                            "--kernel", "vector")
     report["after_vector"] = sorted(sys.modules)
+    from repro.query import numpy_active
+    report["numpy_active"] = numpy_active()
     print(json.dumps(report))
 """)
 
@@ -103,7 +108,9 @@ def report(tmp_path_factory):
     inputs = tmp_path_factory.mktemp("inputs")
     for name, text in PROGRAMS.items():
         (inputs / name).write_text(text)
-    return json.loads(_python(_COMMANDS_SCRIPT, str(inputs), QUERY))
+    return json.loads(
+        _python(_COMMANDS_SCRIPT, str(inputs), QUERY, TRIANGLE)
+    )
 
 
 def test_import_cli_skips_opt_in_layers(report):
@@ -121,20 +128,68 @@ def test_default_commands_import_nothing_more(report):
     assert not {m for m in added if m.split(".")[0] in ("repro", "numpy")}
 
 
-def test_wcoj_kernel_loads_no_numpy(report):
-    tuple_code, tuple_out = report["runs"][4]
-    wcoj_code, wcoj_out = report["wcoj"]
-    # The leapfrog kernel emits answers in its own (sorted) order.
-    assert wcoj_code == tuple_code
-    assert sorted(wcoj_out.splitlines()) == sorted(tuple_out.splitlines())
-    assert "numpy" not in report["after_wcoj"]
+def test_auto_kernel_loads_no_numpy_on_small_or_cyclic_queries(report):
+    small, small_auto, cyclic, cyclic_auto = report["auto"]
+    # On a small acyclic query auto picks the tuple loop itself.
+    assert small_auto == small
+    # On a cyclic one it picks the leapfrog engine, which emits
+    # answers in its own (sorted) order.
+    assert cyclic_auto[0] == cyclic[0]
+    assert sorted(cyclic_auto[1].splitlines()) == sorted(
+        cyclic[1].splitlines()
+    )
+    assert "% 3 answers" in cyclic[1]
+    assert "numpy" not in report["after_auto"]
 
 
 def test_vector_kernel_loads_numpy_and_agrees(report):
     tuple_code, tuple_out = report["runs"][4]
     assert report["vector"] == [tuple_code, tuple_out]
     assert "% 3 answers" in tuple_out
-    assert ("numpy" in report["after_vector"]) == numpy_active()
+    # NumPy's state is read in the child: a parent that blocks NumPy
+    # does not block it there.
+    assert ("numpy" in report["after_vector"]) == report["numpy_active"]
+
+
+_NO_NUMPY_SCRIPT = textwrap.dedent("""
+    import contextlib, io, json, sys
+
+    sys.modules["numpy"] = None  # "import numpy" now raises ImportError
+    import repro.cli as cli
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        return [code, out.getvalue()]
+
+    rules, db, query = sys.argv[1:4]
+    print(json.dumps({
+        kernel: [run("query", rules, db, query, "--kernel", kernel),
+                 run("chase", rules, db, "--kernel", kernel)]
+        for kernel in ("tuple", "vector", "auto")
+    }))
+""")
+
+
+def test_without_numpy_every_kernel_prints_the_tuple_output(tmp_path):
+    """In a child where ``import numpy`` fails, ``--kernel vector`` and
+    ``--kernel auto`` run the tuple loop, so their stdout equals
+    ``--kernel tuple``'s.  The 1,100-edge database makes ``auto`` ask
+    for the batch engine too: its first discovery round hands 1,100
+    pivot rows to one (rule, pivot) batch, and the query's two
+    relations hold 2,200 rows."""
+    rules = tmp_path / "chase.tgd"
+    rules.write_text(PROGRAMS["chase.tgd"])
+    db = tmp_path / "db.facts"
+    db.write_text("".join(f"e(a{i}, a{i + 1})\n" for i in range(1100)))
+    report = json.loads(
+        _python(_NO_NUMPY_SCRIPT, str(rules), str(db), QUERY)
+    )
+    query, chase = report["tuple"]
+    assert query[0] == chase[0] == 0
+    assert "% 1100 answers" in query[1]
+    assert report["vector"] == report["auto"] == report["tuple"]
 
 
 @pytest.mark.parametrize(

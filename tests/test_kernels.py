@@ -1,21 +1,23 @@
 """The batch execution tier ≡ the tuple engine ≡ the oracle.
 
-``repro.query.kernels`` adds two alternative evaluation kernels to the
+``repro.query.kernels`` adds two alternative evaluation engines to the
 compiled-query stack: ``vector`` (NumPy-vectorized hash joins over the
-interned int columns, with a pure-Python twin when NumPy is absent)
-and ``wcoj`` (leapfrog worst-case-optimal multiway intersection).  The
-contract this suite enforces, on randomized chase-grown instances with
-labelled nulls and Skolem terms:
+interned int columns) and the leapfrog worst-case-optimal multiway
+intersection that ``auto`` picks for cyclic joins.  The contract this
+suite enforces, on randomized chase-grown instances with labelled
+nulls and Skolem terms:
 
 * ``vector`` is **order-exact**: its answer *sequence* equals the
   tuple engine's, byte for byte — which is why the chase engines may
   route trigger discovery through it without perturbing results.
-* ``wcoj`` is **set-exact**: same answer set, enumeration order is the
-  trie order instead of the DFS order.
+* The leapfrog engine is **set-exact**: same answer set, enumeration
+  order is the trie order instead of the DFS order.  The cases drive
+  it through ``auto`` with the pick patched to it (the ``leapfrog``
+  fixture), since no caller can force it.
 * Both agree with the retained object-level oracle
   (:func:`repro.model.naive_homomorphisms`).
-* The pure-Python fallback (``_np`` forced to ``None``) is
-  answer-identical to the NumPy path, order included.
+* Without NumPy (``_np`` forced to ``None``) ``vector`` and ``auto``
+  run the tuple loop: answers and chases are those of ``tuple``.
 * A chase run under ``kernel="vector"``/``"auto"`` is byte-identical
   to the default: same fact sequence, same step trigger keys.
 """
@@ -25,9 +27,10 @@ import random
 import pytest
 
 from repro.chase import ChaseVariant, critical_instance, run_chase
+from repro.chase import delta as delta_module
+from repro.chase.incremental import ChaseSession
 from repro.cli import main as cli_main
 from repro.cq import ConjunctiveQuery
-from repro.errors import ReproError
 from repro.model import (
     Atom,
     Constant,
@@ -47,6 +50,7 @@ from repro.query import (
     numpy_active,
 )
 from repro.query import kernels as kernels_module
+from repro.serve import ChaseService
 from repro.termination import skolem_chase
 from tests.conftest import atom
 
@@ -120,6 +124,16 @@ def _edge_instance(n=40, extra=()):
 TRIANGLE = [atom("e", "X", "Y"), atom("e", "Y", "Z"), atom("e", "Z", "X")]
 
 
+@pytest.fixture
+def leapfrog(monkeypatch):
+    """The kernel value that runs the leapfrog engine on every query:
+    ``auto``, with its pick patched to the engine only ``auto``
+    reaches."""
+    monkeypatch.setattr(kernels_module, "choose_kernel",
+                        lambda atoms, instance: "wcoj")
+    return "auto"
+
+
 class TestKernelAnswerEquivalence:
     @pytest.mark.parametrize("seed", range(10))
     def test_vector_is_order_exact_and_oracle_equal(self, seed):
@@ -137,7 +151,7 @@ class TestKernelAnswerEquivalence:
             )
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_wcoj_is_set_exact_on_chase_grown(self, seed):
+    def test_wcoj_is_set_exact_on_chase_grown(self, seed, leapfrog):
         rng = random.Random(seed + 3000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
@@ -146,10 +160,10 @@ class TestKernelAnswerEquivalence:
             oracle = oracle_answer_set(
                 query.answer_variables, query.atoms, grown
             )
-            assert set(query.answers(grown, kernel="wcoj")) == oracle
+            assert set(query.answers(grown, kernel=leapfrog)) == oracle
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_kernels_agree_on_skolem_instances(self, seed):
+    def test_kernels_agree_on_skolem_instances(self, seed, leapfrog):
         rng = random.Random(seed + 4000)
         rules, preds, consts = _random_program(rng)
         grown, _, _ = skolem_chase(critical_instance(rules), rules,
@@ -159,11 +173,11 @@ class TestKernelAnswerEquivalence:
             tuple_answers = list(query.answers(grown, kernel="tuple"))
             assert (list(query.answers(grown, kernel="vector"))
                     == tuple_answers)
-            assert (set(query.answers(grown, kernel="wcoj"))
+            assert (set(query.answers(grown, kernel=leapfrog))
                     == set(tuple_answers))
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_certain_answers_agree_across_kernels(self, seed):
+    def test_certain_answers_agree_across_kernels(self, seed, leapfrog):
         rng = random.Random(seed + 5000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
@@ -171,14 +185,14 @@ class TestKernelAnswerEquivalence:
             query = _random_query(rng, preds)
             expected = query.certain_answers(grown, kernel="tuple")
             assert query.certain_answers(grown, kernel="vector") == expected
-            assert query.certain_answers(grown, kernel="wcoj") == expected
+            assert query.certain_answers(grown, kernel=leapfrog) == expected
             nulls = grown.nulls()
             for answer in expected:
                 assert not any(isinstance(t, Null) for t in answer)
             del nulls
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_boolean_queries_agree_across_kernels(self, seed):
+    def test_boolean_queries_agree_across_kernels(self, seed, leapfrog):
         rng = random.Random(seed + 6000)
         rules, preds, consts = _random_program(rng)
         grown = _grown(rng, rules, preds, consts)
@@ -187,7 +201,7 @@ class TestKernelAnswerEquivalence:
             boolean = ConjunctiveQuery([], query.atoms)
             expected = boolean.holds_in(grown, kernel="tuple")
             assert boolean.holds_in(grown, kernel="vector") == expected
-            assert boolean.holds_in(grown, kernel="wcoj") == expected
+            assert boolean.holds_in(grown, kernel=leapfrog) == expected
 
     def test_auto_matches_tuple(self):
         inst = _edge_instance(extra=[("v1", "v0")])
@@ -195,85 +209,16 @@ class TestKernelAnswerEquivalence:
         assert (set(query.answers(inst, kernel="auto"))
                 == set(query.answers(inst, kernel="tuple")))
 
-    def test_triangle_query_wcoj(self):
+    def test_triangle_query_wcoj(self, leapfrog):
         inst = _edge_instance(
             n=30,
             extra=[("t0", "t1"), ("t1", "t2"), ("t2", "t0")],
         )
         query = ConjunctiveQuery([X, Y, Z], TRIANGLE)
         oracle = oracle_answer_set([X, Y, Z], TRIANGLE, inst)
-        assert set(query.answers(inst, kernel="wcoj")) == oracle
+        assert set(query.answers(inst, kernel=leapfrog)) == oracle
         assert set(query.answers(inst, kernel="vector")) == oracle
         assert (Constant("t0"), Constant("t1"), Constant("t2")) in oracle
-
-
-class TestPurePythonFallback:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_fallback_is_answer_identical(self, seed, monkeypatch):
-        rng = random.Random(seed + 7000)
-        rules, preds, consts = _random_program(rng)
-        grown = _grown(rng, rules, preds, consts)
-        queries = [_random_query(rng, preds) for _ in range(3)]
-        with_np = [
-            (list(q.answers(grown, kernel="vector")),
-             sorted(q.answers(grown, kernel="wcoj")))
-            for q in queries
-        ]
-        monkeypatch.setattr(kernels_module, "_np", None)
-        assert not numpy_active()
-        without_np = [
-            (list(q.answers(Instance(grown.facts()), kernel="vector")),
-             sorted(q.answers(Instance(grown.facts()), kernel="wcoj")))
-            for q in queries
-        ]
-        assert without_np == with_np
-
-    def test_fallback_chase_is_byte_identical(self, monkeypatch):
-        rules, db = _chase_workload()
-        baseline = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
-                             max_steps=400, kernel="tuple")
-        monkeypatch.setattr(kernels_module, "_np", None)
-        forced = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
-                           max_steps=400, kernel="vector")
-        assert forced.instance.facts() == baseline.instance.facts()
-
-
-class TestNoNumpyFlag:
-    """``REPRO_NO_NUMPY`` is read when the first batch kernel runs."""
-
-    @staticmethod
-    def _unresolved(monkeypatch, value):
-        monkeypatch.setattr(kernels_module, "_np", kernels_module._UNLOADED)
-        monkeypatch.setenv("REPRO_NO_NUMPY", value)
-
-    @pytest.mark.parametrize("value", ["1", "true", "Yes", "on"])
-    def test_true_values_disable_numpy(self, monkeypatch, value):
-        self._unresolved(monkeypatch, value)
-        assert not numpy_active()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "OFF", ""])
-    def test_false_values_keep_numpy(self, monkeypatch, value):
-        pytest.importorskip("numpy")
-        self._unresolved(monkeypatch, value)
-        assert numpy_active()
-
-    def test_other_values_raise(self, monkeypatch):
-        self._unresolved(monkeypatch, "maybe")
-        with pytest.raises(ReproError, match="REPRO_NO_NUMPY='maybe'"):
-            numpy_active()
-        assert kernels_module._np is kernels_module._UNLOADED
-
-    def test_cli_reports_a_bad_value(self, monkeypatch, tmp_path, capsys):
-        rules = tmp_path / "rules.tgd"
-        rules.write_text("e(X, Y) -> f(Y, X)\n")
-        db = tmp_path / "db.facts"
-        db.write_text("e(a, b)\ne(b, c)\n")
-        self._unresolved(monkeypatch, "maybe")
-        code = cli_main(["query", str(rules), str(db),
-                         "q(X) :- e(X, Y), f(Y, X)", "--kernel", "vector"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: REPRO_NO_NUMPY='maybe'")
 
 
 def _chase_workload():
@@ -311,25 +256,113 @@ class TestChaseByteIdentity:
         for ours, theirs in zip(routed.steps, baseline.steps):
             assert ours.trigger.key(variant) == theirs.trigger.key(variant)
 
-    def test_wcoj_kernel_falls_back_in_discovery(self):
-        # Rule bodies are pivot-seeded, so the wcoj kernel routes
-        # discovery through the tuple engine — still byte-identical.
-        rules, db = _chase_workload()
-        baseline = run_chase(db, rules, ChaseVariant.RESTRICTED,
-                             max_steps=600, kernel="tuple")
-        routed = run_chase(db, rules, ChaseVariant.RESTRICTED,
-                           max_steps=600, kernel="wcoj")
-        assert routed.instance.facts() == baseline.instance.facts()
-
     def test_run_chase_rejects_unknown_kernel(self):
         rules, db = _chase_workload()
         with pytest.raises(ValueError):
             run_chase(db, rules, ChaseVariant.RESTRICTED, kernel="simd")
 
 
+class TestWithoutNumpy:
+    """With ``_np`` forced to ``None`` (NumPy not installed), a batch
+    kernel would fail on first use; ``vector`` and ``auto`` must run
+    the tuple loop instead, answering and chasing exactly like
+    ``tuple``.  The ``auto`` thresholds are patched to zero so that
+    every multi-atom pick and every discovery batch asks for the batch
+    engine."""
+
+    @pytest.fixture(autouse=True)
+    def no_numpy(self, monkeypatch):
+        monkeypatch.setattr(kernels_module, "_np", None)
+        monkeypatch.setattr(kernels_module, "AUTO_VECTOR_MIN_ROWS", 0)
+        monkeypatch.setattr(delta_module, "_FAT_ROUND_MIN", 0)
+        assert not numpy_active()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vector_and_auto_answer_like_tuple(self, seed):
+        rng = random.Random(seed + 7000)
+        rules, preds, consts = _random_program(rng)
+        grown = _grown(rng, rules, preds, consts)
+        for _ in range(3):
+            query = _random_query(rng, preds)
+            boolean = ConjunctiveQuery([], query.atoms)
+            expected = (
+                list(query.answers(grown, kernel="tuple")),
+                query.certain_answers(grown, kernel="tuple"),
+                boolean.holds_in(grown, kernel="tuple"),
+            )
+            for kernel in ("vector", "auto"):
+                got = (
+                    list(query.answers(grown, kernel=kernel)),
+                    query.certain_answers(grown, kernel=kernel),
+                    boolean.holds_in(grown, kernel=kernel),
+                )
+                if kernel == "auto" and is_cyclic(query.atoms):
+                    # auto still runs the leapfrog engine: trie order.
+                    assert (set(got[0]), got[1:]) == (
+                        set(expected[0]), expected[1:]
+                    )
+                else:
+                    assert got == expected
+
+    @pytest.mark.parametrize("kernel", ["vector", "auto"])
+    def test_chase_is_byte_identical(self, kernel):
+        rules, db = _chase_workload()
+        baseline = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
+                             max_steps=400, kernel="tuple")
+        routed = run_chase(db, rules, ChaseVariant.SEMI_OBLIVIOUS,
+                           max_steps=400, kernel=kernel)
+        assert routed.instance.facts() == baseline.instance.facts()
+        assert [s.trigger.key(ChaseVariant.SEMI_OBLIVIOUS)
+                for s in routed.steps] == [
+            s.trigger.key(ChaseVariant.SEMI_OBLIVIOUS)
+            for s in baseline.steps]
+
+
+class TestRemovedKernelValues:
+    """``wcoj`` is not a kernel a caller can force, and the discovery
+    kernel lives on the run, not on the data."""
+
+    def test_every_library_entry_point_refuses_wcoj(self):
+        rules, db = _chase_workload()
+        query = ConjunctiveQuery([X], [atom("e", "X", "Y")])
+        calls = [
+            lambda: CompiledQuery([X], [atom("e", "X", "Y")], kernel="wcoj"),
+            lambda: query.compiled("wcoj"),
+            lambda: query.answers(db, kernel="wcoj"),
+            lambda: query.certain_answers(db, kernel="wcoj"),
+            lambda: query.holds_in(db, kernel="wcoj"),
+            lambda: run_chase(db, rules, kernel="wcoj"),
+            lambda: ChaseSession.start(db, rules, kernel="wcoj"),
+            lambda: ChaseService(Instance(db), kernel="wcoj"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown kernel 'wcoj'"):
+                call()
+
+    @pytest.mark.parametrize("command", ["chase", "query", "serve"])
+    def test_cli_refuses_kernel_wcoj(self, command, tmp_path, capsys):
+        rules = tmp_path / "rules.tgd"
+        rules.write_text("e(X, Y) -> f(Y, X)\n")
+        db = tmp_path / "db.facts"
+        db.write_text("e(a, b)\n")
+        argv = [command, str(rules), str(db), "--kernel", "wcoj"]
+        if command == "query":
+            argv.insert(3, "q(X) :- f(X, Y)")
+        if command == "serve":
+            argv += ["--port", "0"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice: 'wcoj'" in capsys.readouterr().err
+
+    def test_instance_has_no_kernel(self):
+        with pytest.raises(AttributeError):
+            Instance().kernel
+
+
 class TestKernelSelection:
     def test_kernel_vocabulary(self):
-        assert KERNELS == ("tuple", "vector", "wcoj", "auto")
+        assert KERNELS == ("tuple", "vector", "auto")
 
     def test_triangle_is_cyclic(self):
         assert is_cyclic(TRIANGLE)
@@ -346,7 +379,6 @@ class TestKernelSelection:
             tuple([atom("e", "X", "Y"), atom("f", "Y", "Z")]), inst
         ) == "tuple"
 
-    @pytest.mark.skipif(not numpy_active(), reason="NumPy absent")
     def test_choose_kernel_cyclic_is_wcoj(self):
         inst = _edge_instance()
         assert choose_kernel(tuple(TRIANGLE), inst) == "wcoj"

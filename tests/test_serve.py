@@ -384,6 +384,54 @@ def test_http_end_to_end():
     service.close()
 
 
+def _raw_query(host, port, lengths):
+    """POST a valid ``/query`` body over a raw socket with one
+    ``Content-Length`` header per entry of ``lengths`` (``None`` stands
+    for the body's true length); returns ``(status, payload)``."""
+    import socket
+
+    body = json.dumps({"query": "q(X, Y) :- p(X, Y)"}).encode()
+    headers = "".join(
+        f"Content-Length: {len(body) if n is None else n}\r\n"
+        for n in lengths
+    )
+    request = f"POST /query HTTP/1.1\r\nHost: test\r\n{headers}\r\n"
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(request.encode("ascii") + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+def test_http_refuses_malformed_and_conflicting_content_length():
+    session = fresh_session()
+    service = ChaseService(session)
+    with BackgroundServer(service) as background:
+        host, port = background.address
+        status, ok = _raw_query(host, port, [None])
+        assert status == 200 and ok["count"] == 3
+        # Identical duplicates frame the body the same way.
+        status, twice = _raw_query(host, port, [None, None])
+        assert status == 200 and twice["answers"] == ok["answers"]
+        n = len(json.dumps({"query": "q(X, Y) :- p(X, Y)"}))
+        for lengths, error in [
+            ([-1], "bad Content-Length"),
+            ([f"+{n}"], "bad Content-Length"),
+            ([f"{n // 10}_{n % 10}"], "bad Content-Length"),
+            ([None, 0], "conflicting Content-Length headers"),
+            ([0, None], "conflicting Content-Length headers"),
+            ([None, -1], "bad Content-Length"),
+        ]:
+            status, out = _raw_query(host, port, lengths)
+            assert (status, out["error"]) == (400, error), lengths
+    service.close()
+
+
 def test_http_rejects_fields_of_the_wrong_json_type(tmp_path):
     # "false" is truthy and true is an int in Python; neither may be
     # read as the JSON type the field documents.

@@ -369,6 +369,16 @@ class TestCheckpointResume:
 # -- CLI --------------------------------------------------------------------
 
 
+def _store_bytes(store):
+    """The bytes of a store's manifest and chase header (a plain store
+    has no header)."""
+    return {
+        name: (store / name).read_bytes()
+        for name in ("MANIFEST.json", "chase.pkl")
+        if (store / name).exists()
+    }
+
+
 @pytest.fixture
 def cli_rules_file(tmp_path):
     path = tmp_path / "rules.tgd"
@@ -481,6 +491,79 @@ class TestStorageCLI:
                 in capsys.readouterr().err)
         assert [(store / name).read_bytes()
                 for name in ("MANIFEST.json", "chase.pkl")] == saved
+
+    @pytest.mark.parametrize("flags", [
+        ["--variant", "o"], ["--max-steps", "1"],
+    ])
+    def test_query_db_refuses_chase_flags(
+        self, flags, cli_rules_file, cli_db_file, tmp_path, capsys
+    ):
+        # --db answers over what the store holds; a chase setting
+        # would be silently ignored.
+        store = tmp_path / "store"
+        assert main([
+            "chase", cli_rules_file, cli_db_file, "--save", str(store),
+        ]) == 0
+        capsys.readouterr()
+        saved = _store_bytes(store)
+        assert main(["query", "person(X)", "--db", str(store), *flags]) == 2
+        captured = capsys.readouterr()
+        assert (f"error: --db answers over its saved store; {flags[0]}"
+                in captured.err)
+        assert captured.out == ""
+        assert _store_bytes(store) == saved
+
+    @pytest.mark.parametrize("plain,flags", [
+        (False, ["--variant", "o"]),
+        (False, ["--save", "other", "--overwrite"]),
+        (False, ["--overwrite"]),
+        (True, ["--variant", "so"]),
+        (True, ["--max-steps", "3"]),
+    ])
+    def test_serve_db_refuses_fresh_run_flags(
+        self, plain, flags, cli_rules_file, cli_db_file, tmp_path,
+        capsys, monkeypatch,
+    ):
+        from repro.serve import ChaseServer
+
+        served = []
+        monkeypatch.setattr(ChaseServer, "run", lambda s: served.append(s))
+        store = tmp_path / "store"
+        if plain:
+            run_chase(parse_database(DATABASE), parse_program(PROGRAM),
+                      "restricted").instance.save(str(store))
+        else:
+            assert main([
+                "chase", cli_rules_file, cli_db_file, "--save", str(store),
+            ]) == 0
+        capsys.readouterr()
+        saved = _store_bytes(store)
+        flags = [str(tmp_path / f) if f == "other" else f for f in flags]
+        assert main([
+            "serve", "--db", str(store), "--port", "0", *flags,
+        ]) == 2
+        assert (f"error: --db serves its saved store; {flags[0]}"
+                in capsys.readouterr().err)
+        assert not served and not (tmp_path / "other").exists()
+        assert _store_bytes(store) == saved
+
+    def test_serve_db_takes_max_steps_for_a_chase_store(
+        self, cli_rules_file, cli_db_file, tmp_path, capsys, monkeypatch
+    ):
+        # A checkpointed store's step cap is the resumed session's.
+        from repro.serve import ChaseServer
+
+        served = []
+        monkeypatch.setattr(ChaseServer, "run", lambda s: served.append(s))
+        store = tmp_path / "store"
+        assert main([
+            "chase", cli_rules_file, cli_db_file, "--save", str(store),
+        ]) == 0
+        assert main([
+            "serve", "--db", str(store), "--port", "0", "--max-steps", "50",
+        ]) == 0
+        assert len(served) == 1
+        capsys.readouterr()
 
     def test_no_save_without_resume_is_a_usage_error(
         self, cli_rules_file, cli_db_file, capsys
