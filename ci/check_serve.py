@@ -3,11 +3,14 @@
 
 Starts ``repro serve`` as a real subprocess on an ephemeral port (the
 exact surface a deployment hits), ingests a delta through ``POST
-/facts``, and requires the incrementally maintained certain answers to
-equal a from-scratch chase of the unioned database computed in-process
-— the server must *extend* the resident chase from the delta frontier,
-never re-chase. Finishes with SIGTERM and requires a clean exit 0
-(the server installs signal handlers for graceful drain).
+/facts``, and requires the incrementally maintained naive and certain
+answers to equal a from-scratch chase of the unioned database computed
+in-process — the server must *extend* the resident chase from the
+delta frontier, never re-chase.  The reference renders answers with
+``repro.parser.atom_to_text``, and the delta carries a constant that
+needs quotes, so the server's renderer is checked too.  Finishes with
+SIGTERM and requires a clean exit 0 (the server installs signal
+handlers for graceful drain).
 
 Usage: PYTHONPATH=src python ci/check_serve.py
 """
@@ -26,7 +29,9 @@ sys.path.insert(
 )
 
 from repro.chase import run_chase  # noqa: E402
+from repro.model import Atom, Predicate  # noqa: E402
 from repro.parser import (  # noqa: E402
+    atom_to_text,
     parse_database,
     parse_fact,
     parse_program,
@@ -40,7 +45,7 @@ p(X, Y) -> exists W . tag(Y, W)
 """
 
 EDGES = 8
-DELTA = ["e(n8, n9)", "e(n9, n10)"]
+DELTA = ["e(n8, n9)", "e(n9, n10)", "e(n9, 'Big City')"]
 QUERY = "q(X, Y) :- p(X, Y)"
 
 
@@ -72,11 +77,18 @@ def from_scratch_answers():
                        max_steps=100_000)
     if not result.terminated:
         raise RuntimeError("reference chase did not terminate")
-    # Render rows the way the server does: "q(a, b)" per answer.
-    return sorted(
-        "q(" + ", ".join(str(t) for t in row) + ")"
-        for row in parse_query(QUERY).certain_answers(result.instance)
-    )
+    query = parse_query(QUERY)
+    predicate = Predicate(query.name, len(query.answer_variables))
+
+    def render(rows):
+        return [atom_to_text(Atom(predicate, row)) for row in rows]
+
+    # Certain answers come back in certain_answers' order; the naive
+    # order follows the chase's history, so it is compared as a set.
+    return {
+        "certain": render(query.certain_answers(result.instance)),
+        "naive": sorted(render(query.answers(result.instance))),
+    }
 
 
 def run() -> int:
@@ -151,14 +163,24 @@ def run() -> int:
                     f"({before['watermark']} -> {after['watermark']})"
                 )
 
+            status, naive = request(port, "POST", "/query",
+                                    {"query": QUERY})
+            if status != 200:
+                return fail(f"post-delta naive /query returned {status}: "
+                            f"{naive}")
+
             expected = from_scratch_answers()
-            got = sorted(after["answers"])
-            if got != expected:
-                return fail(
-                    f"incrementally maintained answers diverge from "
-                    f"the from-scratch chase: {got} != {expected}"
-                )
-            if len(got) <= len(before["answers"]):
+            for kind, got in (("certain", after["answers"]),
+                              ("naive", sorted(naive["answers"]))):
+                if got != expected[kind]:
+                    return fail(
+                        f"incrementally maintained {kind} answers diverge "
+                        f"from the from-scratch chase: {got} != "
+                        f"{expected[kind]}"
+                    )
+            if not any("'Big City'" in line for line in after["answers"]):
+                return fail("no answer carries the quoted delta constant")
+            if len(after["answers"]) <= len(before["answers"]):
                 return fail("the delta added no answers to lose")
 
             server.send_signal(signal.SIGTERM)
@@ -172,8 +194,9 @@ def run() -> int:
             server.stdout.close()
 
     print(
-        f"check_serve: ok — {len(expected)} certain answers after the "
-        f"delta, incremental == from-scratch, clean SIGTERM shutdown"
+        f"check_serve: ok — {len(expected['certain'])} certain answers "
+        f"after the delta, incremental == from-scratch (naive and "
+        f"certain), clean SIGTERM shutdown"
     )
     return 0
 

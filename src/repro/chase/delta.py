@@ -63,6 +63,10 @@ FrontierFact = Union[int, Atom]
 #: cost wins.  ``kernel="vector"`` batches unconditionally.
 _FAT_ROUND_MIN = 512
 
+#: A vectorized batch joins at most this many pivot rows at once, so
+#: its match columns stay bounded however wide the frontier is.
+_BATCH_ROWS = 1024
+
 
 def _group_rows(
     instance: Instance, new_facts: Sequence[FrontierFact]
@@ -106,9 +110,11 @@ def delta_triggers(
     at least :data:`_FAT_ROUND_MIN` candidate rows) and NumPy is
     installed, a (rule, pivot) batch is evaluated by the columnar
     batch kernel (:func:`repro.query.kernels.batch_rule_matches`)
-    instead of the tuple loop.  The batch join is order-exact, so the
-    trigger stream — ids, order, and all — is byte-identical either
-    way.  NumPy is imported only once a batch qualifies."""
+    instead of the tuple loop, :data:`_BATCH_ROWS` pivot rows at a
+    time.  The batch join is order-exact and the slices keep arrival
+    order, so the trigger stream — ids, order, and all — is
+    byte-identical either way.  NumPy is imported only once a batch
+    qualifies."""
     groups = _group_rows(instance, new_facts)
     if not groups:
         return
@@ -127,11 +133,15 @@ def delta_triggers(
                 and (batch_always or len(candidates) >= _FAT_ROUND_MIN)
                 and kernels.numpy_active()
             ):
-                for ids in kernels.batch_rule_matches(
-                    instance, exec_.pivot_step, exec_.rest,
-                    candidates, exec_.emit_slots,
-                ):
-                    yield Trigger.from_ids(rule, rule_index, ids, instance)
+                for start in range(0, len(candidates), _BATCH_ROWS):
+                    for ids in kernels.batch_rule_matches(
+                        instance, exec_.pivot_step, exec_.rest,
+                        candidates[start:start + _BATCH_ROWS],
+                        exec_.emit_slots,
+                    ):
+                        yield Trigger.from_ids(
+                            rule, rule_index, ids, instance
+                        )
                 continue
             pivot_step = exec_.pivot_step
             rest = exec_.rest

@@ -65,7 +65,7 @@ from .chase import (
 from .classes import classify, narrowest_class
 from .errors import BudgetExceededError, ReproError
 from .parser import (
-    atom_to_text,
+    atom_to_text,  # noqa: F401  perfbench/spans.py wraps it by this name
     instance_to_text,
     parse_atom,
     parse_database,
@@ -268,23 +268,16 @@ def _print_answers(query, instance, args, budget) -> None:
     """Print ``query`` over ``instance``: ``true``/``false`` for a
     boolean query, else one atom per answer over the query's answer
     predicate and a count line."""
-    from .model import Atom, Predicate
-
     if query.is_boolean():
         holds = query.holds_in(instance, kernel=args.kernel, budget=budget)
         print("true" if holds else "false")
         return
-    name = query.name
-    if args.certain:
-        answers = query.certain_answers(
-            instance, kernel=args.kernel, budget=budget,
-        )
-    else:
-        answers = query.answers(instance, kernel=args.kernel, budget=budget)
     count = 0
-    for answer in answers:
+    for line in query.answer_texts(
+        instance, certain=args.certain, kernel=args.kernel, budget=budget,
+    ):
         count += 1
-        print(atom_to_text(Atom(Predicate(name, len(answer)), answer)))
+        print(line)
     print(f"% {count} {'certain ' if args.certain else ''}answers")
 
 
@@ -664,8 +657,9 @@ def _add_serve(serve: argparse.ArgumentParser) -> None:
     serve.add_argument("--request-timeout", type=float, default=30.0,
                        metavar="S",
                        help="per-request deadline cap in seconds; a "
-                            "request may ask for less, never more "
-                            "(default 30)")
+                            "request may ask for less, never more.  "
+                            "Also the time a client has to send its "
+                            "request (408 after) (default 30)")
     serve.add_argument("--max-inflight", type=int, default=64,
                        metavar="N",
                        help="admission gate: at most N requests in "

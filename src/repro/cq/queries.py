@@ -29,6 +29,7 @@ from ..model import (
     Term,
     Variable,
 )
+from ..parser.printer import id_rows_to_text
 from ..query import CompiledQuery
 
 
@@ -147,3 +148,24 @@ class ConjunctiveQuery:
     ) -> bool:
         """Boolean evaluation: does any match exist?"""
         return self.compiled(kernel).holds_in(instance, budget=budget)
+
+    def answer_texts(
+        self,
+        instance: Instance,
+        *,
+        certain: bool = False,
+        kernel: str = "tuple",
+        budget=None,
+    ) -> Iterator[str]:
+        """The answers as text, one ``name(t1, ..., tn)`` per answer:
+        :meth:`answers` (lazily) or, with ``certain``,
+        :meth:`certain_answers` (sorted first), each line equal to
+        ``atom_to_text`` of the answer atom.  Rendered straight from
+        term ids (:func:`repro.parser.printer.id_rows_to_text`), so no
+        answer decodes to terms."""
+        compiled = self.compiled(kernel)
+        if certain:
+            rows = compiled.sorted_certain_ids(instance, budget=budget)
+        else:
+            rows = compiled.answer_ids(instance, budget=budget)
+        return id_rows_to_text(self.name, rows, instance.symbols)

@@ -77,11 +77,14 @@ class ResolvedStep:
 
     Steps are cached per instance, so they bind the instance's index
     dicts directly — probing skips the accessor-method dispatch (the
-    dict objects are never replaced, only grown).
+    dict objects are never replaced, only grown).  Over a snapshot,
+    whose relations no longer grow, a step also keeps its relation's
+    base row list and watermark bound (``FactStore.fixed_rows``), so
+    a whole-relation scan indexes a plain list.
     """
 
     __slots__ = ("pid", "const_checks", "groups", "build",
-                 "_index_get", "_rows_get", "_members_get")
+                 "_index_get", "_rows_get", "_members_get", "_relation")
 
     def __init__(self, instance: Instance, atom: Atom,
                  slot_env: Dict[Variable, int]):
@@ -93,6 +96,7 @@ class ResolvedStep:
         self._index_get = store.index.get
         self._rows_get = store.rows_by_pid.get
         self._members_get = store.member_by_pid.get
+        self._relation = store.fixed_rows(self.pid)
         const_checks: List[Tuple[int, int]] = []
         positions_of: Dict[Variable, List[int]] = {}
         order: List[Variable] = []
@@ -182,21 +186,26 @@ class ResolvedStep:
                 return (row,), 1
             return _EMPTY_ROWS, 0
         pid = self.pid
-        best = self._rows_get(pid)
-        if best is None:
-            best = _EMPTY_ROWS
+        relation = self._relation
+        if relation is None:
+            best = self._rows_get(pid, _EMPTY_ROWS)
+            limit = len(best)
+        else:
+            best, limit = relation
         index_get = self._index_get
         for pos, tid in self.const_checks:
             rows = index_get((pid, pos, tid), _EMPTY_ROWS)
-            if len(rows) < len(best):
+            if len(rows) < limit:
                 best = rows
+                limit = len(rows)
         for slot, p0, _ in self.groups:
             bound = assign[slot]
             if bound is not None:
                 rows = index_get((pid, p0, bound), _EMPTY_ROWS)
-                if len(rows) < len(best):
+                if len(rows) < limit:
                     best = rows
-        return best, len(best)
+                    limit = len(rows)
+        return best, limit
 
 
 class PlanExec:

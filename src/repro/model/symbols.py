@@ -21,6 +21,11 @@ Design points:
   "one symbol, one id" true should two threads intern into one table.
 * **Primed tables.**  A durable store reopens its table from the
   persisted ``(object, id)`` pairs, installed with :meth:`prime`.
+* **A text cache.**  :attr:`SymbolTable.texts` maps ids to their
+  printed text (:func:`repro.parser.printer.id_rows_to_text` fills
+  it), so answers render without decoding atoms.  An id never changes
+  its object, so an entry never goes stale; snapshots share their
+  base's table and therefore its cache.
 
 Pickling rebuilds through the constructor (the intern dict's hashes are
 only valid under the pickling interpreter's hash randomization, exactly
@@ -37,15 +42,21 @@ class SymbolTable:
     """A thread-safe bijection ``object <-> dense int id``.
 
     Ids are non-negative and dense in first-intern order.
+
+    ``texts`` is the append-only ``id -> printed text`` cache.  Readers
+    fill it without a lock: inserting an int key is atomic under the
+    GIL, and the text is a pure function of the id, so two readers
+    racing on one id store equal strings.
     """
 
-    __slots__ = ("_ids", "_objs", "_next", "_lock")
+    __slots__ = ("_ids", "_objs", "_next", "_lock", "texts")
 
     def __init__(self, primed: Iterable[Tuple[object, int]] = ()):
         self._ids: Dict[object, int] = {}
         self._objs: Dict[int, object] = {}
         self._next = 0
         self._lock = threading.Lock()
+        self.texts: Dict[int, str] = {}
         for obj, sid in primed:
             self.prime(obj, sid)
 
@@ -97,6 +108,7 @@ class SymbolTable:
         out._objs = dict(self._objs)
         out._next = self._next
         out._lock = threading.Lock()
+        out.texts = {}
         return out
 
     # -- decoding ----------------------------------------------------------

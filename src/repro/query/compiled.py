@@ -438,6 +438,18 @@ class CompiledQuery:
             add(ids)
             yield ids
 
+    def sorted_certain_ids(
+        self, instance: Instance, budget=None
+    ) -> List[Tuple[int, ...]]:
+        """:meth:`certain_ids` in :meth:`certain_answers`' order: by
+        the tuple of each term's ``str`` (stable, so ties keep
+        first-seen order)."""
+        obj = instance.symbols.obj
+        return sorted(
+            self.certain_ids(instance, budget=budget),
+            key=lambda ids: tuple(str(obj(tid)) for tid in ids),
+        )
+
     def certain_answers(
         self, instance: Instance, budget=None
     ) -> List[Tuple[Term, ...]]:
@@ -445,11 +457,10 @@ class CompiledQuery:
         certain answers of the query when ``instance`` is a universal
         model)."""
         obj = instance.symbols.obj
-        out = [
+        return [
             tuple(obj(tid) for tid in ids)
-            for ids in self.certain_ids(instance, budget=budget)
+            for ids in self.sorted_certain_ids(instance, budget=budget)
         ]
-        return sorted(out, key=lambda tup: tuple(str(t) for t in tup))
 
     def holds_in(self, instance: Instance, budget=None) -> bool:
         """Boolean evaluation: does any body match exist?"""

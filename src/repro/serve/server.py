@@ -22,10 +22,14 @@ path         method  body / effect
                      reuses
 ===========  ======  ====================================================
 
-Service calls run on the event loop's default thread-pool executor, so
-slow queries and ingest legs never stall the accept loop; concurrency
+Every response is one line of compact JSON and a newline.  Service
+calls run on the event loop's default thread-pool executor, so slow
+queries and ingest legs never stall the accept loop; concurrency
 control is the service's own (snapshot-pinned reads, a single-writer
-ingest lock, admission gate).  Error mapping:
+ingest lock, admission gate).  A client must send its whole request
+(head and body) within the service's ``request_timeout_s``, or it is
+answered 408 and its connection closed, so a slow client cannot hold
+a connection forever.  Error mapping:
 :class:`ServiceError` → its status, parse/validation errors → 400, a
 tripped request budget (:class:`~repro.errors.BudgetExceededError`) →
 503 with the stop reason, unknown path → 404; body fields an endpoint
@@ -64,6 +68,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
@@ -91,6 +96,10 @@ class _HttpError(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+class _ReadDeadline(Exception):
+    """The client did not send its whole request in time."""
 
 
 class ChaseServer:
@@ -185,7 +194,7 @@ class ChaseServer:
             status, payload, headers = await self._respond(reader)
         except Exception as exc:  # pragma: no cover - handler backstop
             status, payload = 500, {"error": f"internal error: {exc}"}
-        body = json.dumps(payload, indent=2).encode() + b"\n"
+        body = json.dumps(payload).encode() + b"\n"
         extra = "".join(f"{key}: {value}\r\n" for key, value in headers)
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
@@ -205,12 +214,27 @@ class ChaseServer:
     async def _respond(
         self, reader: asyncio.StreamReader
     ) -> Tuple[int, dict, _Headers]:
+        # One timer per connection bounds reading the head and body:
+        # on expiry the pending read raises _ReadDeadline.
+        timeout = self.service.request_timeout_s
+        deadline = None
+        if timeout is not None:
+            deadline = asyncio.get_running_loop().call_later(
+                timeout, lambda: reader.set_exception(_ReadDeadline())
+            )
         try:
             method, path, body = await self._read_request(reader)
         except _HttpError as exc:
             return exc.status, {"error": str(exc)}, ()
+        except _ReadDeadline:
+            return 408, {
+                "error": f"request not received within {timeout} s"
+            }, ()
         except (asyncio.IncompleteReadError, ConnectionError):
             return 400, {"error": "truncated request"}, ()
+        finally:
+            if deadline is not None:
+                deadline.cancel()
         try:
             status, payload = await self._route(method, path, body)
             return status, payload, ()

@@ -60,7 +60,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from ..chase.incremental import ChaseSession
 from ..errors import BudgetExceededError, ReproError
-from ..model import Atom, Instance, Predicate
+from ..model import Atom, Instance
 from ..model.instances import SnapshotInstance
 from ..parser import atom_to_text, parse_atom, parse_fact, parse_query
 from ..query.kernels import check_kernel
@@ -323,19 +323,10 @@ class ChaseService:
                     snapshot, kernel=kernel, budget=budget
                 )
             else:
-                if certain:
-                    answers = query.certain_answers(
-                        snapshot, kernel=kernel, budget=budget
-                    )
-                else:
-                    answers = list(
-                        query.answers(snapshot, kernel=kernel, budget=budget)
-                    )
-                name = query.name
-                out["answers"] = [
-                    atom_to_text(Atom(Predicate(name, len(answer)), answer))
-                    for answer in answers
-                ]
+                answers = list(query.answer_texts(
+                    snapshot, certain=certain, kernel=kernel, budget=budget,
+                ))
+                out["answers"] = answers
                 out["count"] = len(answers)
             out["elapsed_s"] = round(budget.elapsed_s(), 6)
             self._note_query()

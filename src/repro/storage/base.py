@@ -192,6 +192,13 @@ class FactStore:
         mutate; may be empty and unregistered)."""
         return self.rows_by_pid.get(pid, _EMPTY_ROWS)
 
+    def fixed_rows(self, pid: int) -> Optional[Tuple[List[Row], int]]:
+        """``(rows, n)`` when relation ``pid`` can no longer grow in
+        this store's view (a snapshot's): a row list whose first ``n``
+        rows are the relation.  ``None`` here, where rows keep being
+        appended, so readers take ``rows_of(pid)`` afresh."""
+        return None
+
     def probe_rows(self, pid: int, position: int, tid: int) -> List[Row]:
         """Live row list of the ``(pred_id, position, term_id)`` index
         (do not mutate)."""

@@ -21,7 +21,15 @@ are appended exactly when the fact is appended).  The number of rows
 of a list that belong to the snapshot is therefore found by *binary
 search* on the owning relation's ``row -> ordinal`` membership dict —
 computed lazily on first touch of each list and cached, so a snapshot
-costs O(1) to create and O(log rows) per distinct probe key touched.
+costs O(1) to create and O(log rows) per distinct list touched.
+
+What a reader gets back runs at list speed:
+
+* an **index bucket** is a plain list, the bucket's prefix below the
+  watermark, cut the first time the snapshot touches it;
+* a **whole relation** is never copied: its view keeps the base row
+  list and the bound, and the join engine indexes the base list below
+  the bound itself (:meth:`SnapshotFactStore.fixed_rows`).
 
 Concurrency contract (the GIL-safety rules)
 -------------------------------------------
@@ -39,6 +47,13 @@ thread appends to the base store, provided:
   predicate-id list captured at creation, and ``domain_ids`` is
   rebuilt from the bounded log prefix rather than shared).
 
+The one structure readers write is the symbol table's ``id -> text``
+cache (:attr:`~repro.model.symbols.SymbolTable.texts`), which the base
+and all its snapshots share.  Readers fill it without a lock:
+inserting an int key into a dict is atomic under the GIL, and the text
+is a pure function of the id, so racing readers store equal strings
+and an entry never goes stale.
+
 Interning is the one mutation a query could otherwise smuggle in:
 resolving a plan for a query that mentions an unseen constant or
 predicate would allocate a fresh id in the *shared* tables, perturbing
@@ -51,99 +66,101 @@ the correct semantics for a symbol the snapshot has never seen).
 from __future__ import annotations
 
 import threading
+from itertools import islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..model.atoms import Predicate
 from .base import _EMPTY_ROWS, FactStore, Row
 
 
+def _bound(rows: List[Row], member: Dict[Row, int], watermark: int) -> int:
+    """How many leading rows of ``rows`` have an ordinal below
+    ``watermark``: a binary search, since ordinals increase along every
+    row list.  Rows below the count never change, so it may be read
+    while a writer appends."""
+    lo, hi = 0, len(rows)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if member[rows[mid]] < watermark:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class _BoundedRows:
-    """A length-bounded, zero-copy view of an append-only row list.
+    """One relation at the watermark, without a copy: the base store's
+    live row list and ``n``, how many of its rows lie below the
+    watermark.  ``len`` and iteration honor the bound; the join engine
+    indexes ``rows`` below ``n`` itself (:meth:`SnapshotFactStore.
+    fixed_rows`), so its scans run at list speed."""
 
-    ``__len__`` is the number of rows with ordinal below the snapshot
-    watermark, computed lazily by binary search on the relation's
-    membership dict (rows within one list are in increasing ordinal
-    order) and cached.  Indexing is a passthrough — positions below
-    the bound are immutable.
-    """
+    __slots__ = ("rows", "n")
 
-    __slots__ = ("_rows", "_member", "_watermark", "_n")
-
-    def __init__(self, rows: List[Row], member: Dict[Row, int],
-                 watermark: int):
-        self._rows = rows
-        self._member = member
-        self._watermark = watermark
-        self._n: Optional[int] = None
+    def __init__(self, rows: List[Row], n: int):
+        self.rows = rows
+        self.n = n
 
     def __len__(self) -> int:
-        n = self._n
-        if n is None:
-            rows = self._rows
-            member = self._member
-            watermark = self._watermark
-            lo, hi = 0, len(rows)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if member[rows[mid]] < watermark:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            n = self._n = lo
-        return n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._rows[:len(self)][i]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self._rows[i]
+        return self.n
 
     def __iter__(self) -> Iterator[Row]:
-        rows = self._rows
-        for i in range(len(self)):
-            yield rows[i]
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        return islice(self.rows, self.n)
 
 
-class _BoundedRowMap:
-    """A ``.get``-compatible view over ``rows_by_pid`` / ``index``.
+class _BoundedMap:
+    """A ``.get``-only view of one of the base store's row-list dicts
+    at the watermark, caching what each key answers."""
 
-    Values are cached :class:`_BoundedRows`; keys whose bucket is
-    empty at the watermark answer the caller's default, exactly like a
-    missing key (so selectivity comparisons and emptiness checks see
-    the watermark state).  ``member_of`` maps a key to the owning
-    relation's membership dict (buckets bisect against ordinals).
-    """
+    __slots__ = ("_source", "_member_by_pid", "_watermark", "_cache")
 
-    __slots__ = ("_source", "_member_of", "_watermark", "_cache")
-
-    def __init__(self, source: Dict, member_of, watermark: int):
+    def __init__(self, source: Dict, member_by_pid: Dict[int, Dict[Row, int]],
+                 watermark: int):
         self._source = source
-        self._member_of = member_of
+        self._member_by_pid = member_by_pid
         self._watermark = watermark
         self._cache: Dict = {}
 
-    def get(self, key, default=None):
-        view = self._cache.get(key)
+
+class _RelationMap(_BoundedMap):
+    """The ``rows_by_pid`` view: ``.get(pid)`` answers a
+    :class:`_BoundedRows` for a relation nonempty at the watermark and
+    the caller's default otherwise, exactly like a missing key."""
+
+    __slots__ = ()
+
+    def get(self, pid, default=None):
+        view = self._cache.get(pid)
         if view is None:
+            rows = self._source.get(pid)
+            if rows is None:
+                return default
+            view = _BoundedRows(
+                rows, _bound(rows, self._member_by_pid[pid], self._watermark)
+            )
+            self._cache[pid] = view
+        return view if view.n else default
+
+
+class _BucketMap(_BoundedMap):
+    """The ``index`` view: ``.get(key)`` answers the bucket's rows below
+    the watermark as a plain list, or the caller's default when there
+    are none (so selectivity comparisons and emptiness checks see the
+    watermark state).  A bucket is cut at the watermark the first time
+    this snapshot touches it."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        rows = self._cache.get(key)
+        if rows is None:
             raw = self._source.get(key)
             if raw is None:
                 return default
-            view = _BoundedRows(raw, self._member_of(key),
-                                self._watermark)
-            self._cache[key] = view
-        return len(view) and view or default
-
-    def __getitem__(self, key):
-        view = self.get(key)
-        if view is None:
-            raise KeyError(key)
-        return view
+            rows = raw[:_bound(raw, self._member_by_pid[key[0]],
+                               self._watermark)]
+            self._cache[key] = rows
+        return rows or default
 
 
 class _BoundedMemberMap:
@@ -269,13 +286,10 @@ class SnapshotFactStore(FactStore):
         # that could possibly be nonempty at the watermark.  Readers
         # never iterate the live dicts the writer inserts into.
         self._pids_at_creation: Tuple[int, ...] = tuple(base.rows_by_pid)
-        member_by_pid = base.member_by_pid
-        self.rows_by_pid = _BoundedRowMap(
-            base.rows_by_pid, member_by_pid.__getitem__, watermark
+        self.rows_by_pid = _RelationMap(
+            base.rows_by_pid, base.member_by_pid, watermark
         )
-        self.index = _BoundedRowMap(
-            base.index, lambda key: member_by_pid[key[0]], watermark
-        )
+        self.index = _BucketMap(base.index, base.member_by_pid, watermark)
         self.member_by_pid = _BoundedMemberMap(self)
         # NB: ``domain_ids`` is a property on this class (shadowing the
         # inherited slot) — rebuilt lazily from the bounded log prefix.
@@ -349,6 +363,12 @@ class SnapshotFactStore(FactStore):
 
     def rows_of(self, pid: int) -> List[Row]:
         return self.rows_by_pid.get(pid, _EMPTY_ROWS)
+
+    def fixed_rows(self, pid: int) -> Tuple[List[Row], int]:
+        view = self.rows_by_pid.get(pid)
+        if view is None:
+            return _EMPTY_ROWS, 0
+        return view.rows, view.n
 
     def probe_rows(self, pid: int, position: int, tid: int) -> List[Row]:
         return self.index.get((pid, position, tid), _EMPTY_ROWS)

@@ -256,6 +256,40 @@ class TestChaseByteIdentity:
         for ours, theirs in zip(routed.steps, baseline.steps):
             assert ours.trigger.key(variant) == theirs.trigger.key(variant)
 
+    @pytest.mark.skipif(not numpy_active(), reason="needs NumPy")
+    def test_batch_discovery_is_chunked_and_order_exact(self, monkeypatch):
+        # A 3,200-row frontier reaches the batch kernel in slices of at
+        # most 1,024 pivot rows, and the trigger stream equals the
+        # tuple loop's: rule index, ids and order.
+        rules = [
+            TGD([atom("e", "X", "Y"), atom("e", "Y", "Z")],
+                [atom("p", "X", "Z")]),
+            TGD([atom("e", "X", "Y")], [atom("r", "Y", "X")]),
+        ]
+        instance = Instance([atom("e", f"n{i}", f"n{i + 1}")
+                             for i in range(3200)])
+        frontier = list(range(len(instance)))
+        sizes = []
+        plain = kernels_module.batch_rule_matches
+
+        def recording(instance, pivot_step, rest, pivot_rows, *args):
+            sizes.append(len(pivot_rows))
+            return plain(instance, pivot_step, rest, pivot_rows, *args)
+
+        monkeypatch.setattr(kernels_module, "batch_rule_matches", recording)
+
+        def stream(kernel):
+            return [(t.rule_index, t._ids) for t in delta_module.
+                    delta_triggers(rules, instance, frontier, kernel)]
+
+        tuple_stream = stream("tuple")
+        assert not sizes
+        for kernel in ("vector", "auto"):
+            sizes.clear()
+            assert stream(kernel) == tuple_stream
+            assert sizes and max(sizes) <= 1024
+            assert sum(sizes) == 3 * 3200  # every pivot row, once
+
     def test_run_chase_rejects_unknown_kernel(self):
         rules, db = _chase_workload()
         with pytest.raises(ValueError):

@@ -56,15 +56,28 @@ def test_snapshot_is_a_bounded_consistent_view():
 
 
 def test_snapshot_stays_pinned_while_base_grows():
+    # Whole-relation scans and index probes, on lists the snapshot
+    # touched before the base grew and on lists it first touches after.
     session = fresh_session()
     try:
         snap = session.snapshot()
         before = list(snap.facts())
-        query = parse_query("q(X, Y) :- p(X, Y)")
-        answers_before = sorted(query.answers(snap))
+        prefix = snap.copy()
+        queries = [parse_query(text) for text in (
+            "q(X, Y) :- p(X, Y)",
+            "q(Y) :- p(n0, Y)",
+            "q(Y) :- p(n1, Y)",
+            "q(X, Z) :- p(X, Y), e(Y, Z)",
+            "q(Y, W) :- tag(Y, W)",
+        )]
+        expected = [sorted(query.answer_texts(prefix)) for query in queries]
+        for query, answers in zip(queries[:2], expected):
+            assert sorted(query.answer_texts(snap)) == answers
         session.extend([parse_fact("e(n2, n3)")])
         assert list(snap.facts()) == before
-        assert sorted(query.answers(snap)) == answers_before
+        for query, answers in zip(queries, expected):
+            assert sorted(query.answer_texts(snap)) == answers, query
+            assert sorted(query.answer_texts(session.instance)) != answers
         assert session.snapshot().watermark > snap.watermark
     finally:
         session.close()
@@ -270,6 +283,76 @@ def test_snapshot_isolation_under_writer(variant):
     service.close()
 
 
+def test_shared_text_cache_under_readers_and_writer():
+    """Readers rendering answers fill the symbol table's shared text
+    cache while the writer interns new terms: with a short switch
+    interval, every response must hold exactly the answer text
+    rendered after quiescence at its watermark, and every cached text
+    must be its term's.  (Answers are compared sorted: the planner
+    reads the base's live statistics, so a join order may differ.)"""
+    import sys
+
+    from repro.model import Atom, Predicate
+    from repro.parser import atom_to_text
+    from repro.parser.printer import term_text
+
+    session = fresh_session(ChaseVariant.RESTRICTED)
+    service = ChaseService(session)
+    queries = ["q(Y, W) :- tag(Y, W)", "q(X, Y) :- p(X, Y), e(Y, Z)"]
+    deltas = [f"e(n{i}, 'N {i + 1}')\ne('N {i + 1}', n{i + 2})"
+              for i in range(2, 30, 2)]
+    observations = [[] for _ in range(4)]
+    failures = []
+    done = threading.Event()
+
+    def reader(slot):
+        try:
+            while not done.is_set():
+                for text in queries:
+                    out = service.query(text)
+                    observations[slot].append(
+                        (text, out["watermark"], out["answers"])
+                    )
+        except Exception as exc:  # pragma: no cover - surfaced below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(slot,))
+               for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for delta in deltas:
+            service.ingest(delta)
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert all(observations)
+
+    expected = {}
+    for trace in observations:
+        for text, watermark, answers in trace:
+            key = (text, watermark)
+            if key not in expected:
+                query = parse_query(text)
+                snap = session.instance.snapshot(watermark=watermark)
+                expected[key] = sorted(
+                    atom_to_text(Atom(Predicate("q", len(row)), row))
+                    for row in query.answers(snap)
+                )
+            assert sorted(answers) == expected[key], key
+    symbols = session.instance.symbols
+    assert symbols.texts
+    for tid, text in list(symbols.texts.items()):
+        assert text == term_text(symbols.obj(tid))
+    service.close()
+
+
 def test_incremental_ingest_equals_from_scratch_service():
     """The CI smoke's assertion, in-process: after a sequence of
     ingests, the served answers equal a from-scratch chase of the
@@ -429,6 +512,105 @@ def test_http_refuses_malformed_and_conflicting_content_length():
         ]:
             status, out = _raw_query(host, port, lengths)
             assert (status, out["error"]) == (400, error), lengths
+    service.close()
+
+
+def _read_to_close(sock):
+    chunks = []
+    while True:
+        chunk = sock.recv(65536)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
+
+
+def test_http_answers_one_line_of_compact_json():
+    import socket
+
+    service = ChaseService(fresh_session())
+    with BackgroundServer(service) as background:
+        host, port = background.address
+        body = json.dumps({"query": "q(X, W) :- tag(X, W)"}).encode()
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nContent-Length: "
+                + str(len(body)).encode() + b"\r\n\r\n" + body
+            )
+            response = _read_to_close(sock)
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"200"
+        assert payload == json.dumps(json.loads(payload)).encode() + b"\n"
+        assert json.loads(payload)["count"] == 2
+    service.close()
+
+
+@pytest.mark.parametrize("sent", [
+    b"POST /query HTTP/1.1\r\nContent-Len",  # half a head
+    b"POST /query HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"que",  # half a body
+])
+def test_http_read_deadline_answers_408(sent):
+    import socket
+    import time
+
+    service = ChaseService(fresh_session(), request_timeout_s=0.2)
+    with BackgroundServer(service) as background:
+        host, port = background.address
+        with socket.create_connection((host, port), timeout=5) as slow:
+            slow.sendall(sent)
+            started = time.monotonic()
+            # A slow client holds no one else up.
+            status, out = _request(
+                host, port, "POST", "/query",
+                {"query": "q(X, Y) :- p(X, Y)"},
+            )
+            assert status == 200 and out["count"] == 3
+            response = _read_to_close(slow)
+            elapsed = time.monotonic() - started
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"408"
+        assert elapsed < 1.0
+        assert "not received within 0.2 s" in json.loads(payload)["error"]
+    service.close()
+
+
+def test_http_answers_equal_repro_query_lines(tmp_path, capsys):
+    # Quoted constants, nulls and the answer order: the server and the
+    # CLI render answers with one renderer over the same chase.
+    from repro.cli import main
+
+    rules = tmp_path / "rules.tgd"
+    rules.write_text(
+        "e(X, Y) -> p(X, Y)\n"
+        "p(X, Y), e(Y, Z) -> p(X, Z)\n"
+        "p(X, Y) -> exists W . tag(Y, W)\n"
+    )
+    db_text = "e(n0, 'Big City')\ne('Big City', n2)\ne(n2, 'A-1')\n"
+    db = tmp_path / "db.facts"
+    db.write_text(db_text)
+    session = ChaseSession.start(
+        parse_database(db_text), parse_program(rules.read_text()),
+        variant=ChaseVariant.RESTRICTED,
+    )
+    service = ChaseService(session)
+    with BackgroundServer(service) as background:
+        host, port = background.address
+        for query, certain in [
+            ("q(X, Y) :- p(X, Y)", False),
+            ("q(X, Y) :- p(X, Y)", True),
+            ("q(Y, W, X) :- p(X, Y), tag(Y, W)", False),
+            ("q(Y) :- p(n0, Y), e(Y, Z)", True),
+        ]:
+            argv = ["query", str(rules), str(db), query]
+            assert main(argv + ["--certain"] * certain) == 0
+            printed = [line for line in capsys.readouterr().out.splitlines()
+                       if not line.startswith("%")]
+            status, out = _request(
+                host, port, "POST", "/query",
+                {"query": query, "certain": certain},
+            )
+            assert status == 200
+            assert out["answers"] == printed, query
+            assert any("'" in line for line in printed), query
     service.close()
 
 
